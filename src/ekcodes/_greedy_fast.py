@@ -1,13 +1,13 @@
-"""Vectorized witness-claim greedy for large 2-part set-world universes.
+"""Seeded pair-greedy engine for 2-part set-world universes.
 
 The word stream is a seeded permutation of all ordered (A, B) index pairs;
 the copy with min(A) > min(B) is dropped, which leaves each unordered word
-exactly once in permuted order.  Witnesses are encoded as integers into
-dense claim arrays, so a chunk of words is screened with a handful of
-numpy gathers and only the (rare) locally acceptable words fall back to
-exact sequential resolution.  The contract matches the sequential witness
-greedy: accepted words never share a witness, and every word of the
-universe was examined, so the output is maximal.
+exactly once in permuted order.  Every pair greedy reads this one stream,
+under one of two rules that accept the same words: greedy_pairs encodes
+witnesses as integers into a dense claim array and screens slices of words
+with numpy gathers; greedy_pairs_by_distance compares bitmasks with the
+accepted words and needs no key space.  Every word of the universe is
+examined, so the output is maximal.
 
 Universes beyond the in-memory shuffle cap are permuted by a Feistel
 network on the index space (images >= M are skipped, which still visits
@@ -22,25 +22,26 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import ParameterError
+from .core import ParameterError, word_count
 from .metric import witness_splits
 
 SHUFFLE_CAP = 1 << 22
 SPACE_CAP = 1 << 26
 STREAM_CAP = 1 << 30
 _CHUNK = 1 << 20
+_MASK_SLICE = 4096
 
 
-def applicable(n: int, k: int, d: int, space_cap: int = SPACE_CAP) -> bool:
+def applicable(n: int, k: int, d: int) -> bool:
     """True when the witness key spaces for (n, k, d) fit in dense arrays."""
     try:
         splits = witness_splits(k, d)
-    except Exception:
+    except ParameterError:
         return False
     t = 2 * k - d + 1
-    if math.comb(n, k) * math.comb(n - k, k) > STREAM_CAP:
+    if 2 * word_count(n, k, 2) > STREAM_CAP:
         return False
-    return len(splits) * n**t <= space_cap
+    return len(splits) * n**t <= SPACE_CAP
 
 
 def _feistel32(values: np.ndarray, nbits: int, keys: np.ndarray) -> np.ndarray:
@@ -101,49 +102,13 @@ def _permuted_chunks(m: int, seed: int, chunk: int):
                 yield vals
 
 
-def _unrank2(idx: np.ndarray, n: int) -> list[np.ndarray]:
-    """Closed-form lex unranking of 2-combinations of [0, n).
+def _lex_columns(n: int, k: int) -> list[np.ndarray]:
+    """Element columns of every k-subset of [0, n), in lex (rank) order.
 
-    Row x (pairs with first element x) starts at T(x) = x(2n-x-1)/2; the
-    quadratic root gives the row, one clamp step absorbs float error.
+    Unranking a stream index is then one gather per column.
     """
-    r = idx.astype(np.float64)
-    a = np.floor((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8.0 * r)) / 2).astype(np.int64)
-    start = a * (2 * n - a - 1) // 2
-    # float roundoff can land one row off in either direction
-    over = start > idx
-    a = a - over
-    start = a * (2 * n - a - 1) // 2
-    under = idx.astype(np.int64) - start >= (n - 1 - a)
-    a = a + under
-    start = a * (2 * n - a - 1) // 2
-    b = (idx.astype(np.int64) - start) + a + 1
-    return [a, b]
-
-
-def _unrank_tables(n: int, k: int) -> list[np.ndarray]:
-    """Per-level cumulative counts for lex unranking of k-combinations of [0, n)."""
-    tables = []
-    for level in range(k):
-        counts = [math.comb(n - 1 - j, k - 1 - level) for j in range(n)]
-        tables.append(np.concatenate(([0], np.cumsum(counts))).astype(np.int64))
-    return tables
-
-
-def _unrank(idx: np.ndarray, tables: list[np.ndarray], k: int, n: int) -> list[np.ndarray]:
-    if k == 2:
-        return _unrank2(idx, n)
-    cols = []
-    rem = idx.astype(np.int64)
-    prev = None
-    for level in range(k):
-        table = tables[level]
-        goal = rem if prev is None else table[prev + 1] + rem
-        col = np.searchsorted(table, goal, side="right").astype(np.int64) - 1
-        rem = goal - table[col]
-        cols.append(col)
-        prev = col
-    return cols
+    table = np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(-1, k)
+    return [np.ascontiguousarray(col) for col in table.T]
 
 
 class _KeyBuilder:
@@ -187,23 +152,26 @@ class _KeyBuilder:
         return keys
 
 
-def greedy_pairs(n: int, k: int, d: int, seed: int, chunk: int = _CHUNK):
-    """Run the witness-claim greedy; returns accepted (a_tuple, b_tuple) rows."""
+def _stream_words(n: int, k: int, seed: int, chunk: int = _CHUNK):
+    """Yield the seeded word stream as (a_cols, b_cols) element columns.
+
+    The order depends on the seed alone, not on `chunk`.  Intermediates are
+    dropped before each yield, so only one chunk's kept columns stay alive.
+    """
+    if 2 * k > n:
+        return
     n_second = math.comb(n - k, k)
     m = math.comb(n, k) * n_second
-    if m == 0:
-        return []
     if m > STREAM_CAP:
         raise ParameterError(f"stream of {m} ordered words exceeds the cap {STREAM_CAP}")
-    builder = _KeyBuilder(n, k, d)
-    claimed = np.zeros(builder.total_space, dtype=bool)
-    tables_a = _unrank_tables(n, k) if k != 2 else None
-    tables_b = _unrank_tables(n - k, k) if k != 2 else None
-    accepted: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    lex_a = _lex_columns(n, k)
+    lex_b = _lex_columns(n - k, k)
     for ids in _permuted_chunks(m, seed, chunk):
         idx_a, idx_b = np.divmod(ids.astype(np.int64), np.int64(n_second))
-        a_cols = _unrank(idx_a, tables_a, k, n)
-        b_cols = _unrank(idx_b, tables_b, k, n - k)
+        del ids
+        a_cols = [col[idx_a] for col in lex_a]
+        b_cols = [col[idx_b] for col in lex_b]
+        del idx_a, idx_b
         # lift B out of the complement of A (shifts applied in ascending-A order)
         for aj in a_cols:
             for i in range(k):
@@ -213,20 +181,69 @@ def greedy_pairs(n: int, k: int, d: int, seed: int, chunk: int = _CHUNK):
             continue
         a_cols = [c[keep] for c in a_cols]
         b_cols = [c[keep] for c in b_cols]
+        del keep
+        yield a_cols, b_cols
+
+
+def _rows(cols: list[np.ndarray], picks) -> list[tuple[int, ...]]:
+    return list(zip(*(c[picks].tolist() for c in cols)))
+
+
+def greedy_pairs(n: int, k: int, d: int, seed: int, chunk: int = _CHUNK):
+    """Witness-claim greedy over the stream; returns accepted (a_tuple, b_tuple) rows.
+
+    Each chunk is screened in slices of 256 words, doubling up to `chunk`.
+    The words a slice leaves unblocked can only collide with claims made
+    inside that slice, so they are resolved one by one against those.
+    """
+    builder = _KeyBuilder(n, k, d)
+    claimed = np.zeros(builder.total_space, dtype=bool)
+    accepted: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for a_cols, b_cols in _stream_words(n, k, seed, chunk):
         keys = builder.build(a_cols, b_cols)
-        blocked = claimed[keys[0]]
-        for key in keys[1:]:
-            blocked |= claimed[key]
-        for i in np.flatnonzero(~blocked):
-            row = [int(key[i]) for key in keys]
-            if any(claimed[x] for x in row):
+        size = len(keys[0])
+        lo, step = 0, 256
+        while lo < size:
+            hi = min(lo + step, size)
+            blocked = claimed[keys[0][lo:hi]]
+            for key in keys[1:]:
+                blocked |= claimed[key[lo:hi]]
+            free = np.flatnonzero(~blocked) + lo
+            lo, step = hi, min(2 * step, chunk)
+            if not free.size:
                 continue
-            for x in row:
-                claimed[x] = True
-            accepted.append(
-                (
-                    tuple(int(c[i]) for c in a_cols),
-                    tuple(int(c[i]) for c in b_cols),
-                )
-            )
+            taken: set[int] = set()
+            hits = []
+            for i, row in zip(free.tolist(), _rows(keys, free)):
+                if taken.isdisjoint(row):
+                    taken.update(row)
+                    hits.append(i)
+            claimed[list(taken)] = True
+            accepted.extend(zip(_rows(a_cols, hits), _rows(b_cols, hits)))
+    return accepted
+
+
+def greedy_pairs_by_distance(n: int, k: int, d: int, seed: int):
+    """Distance-rule greedy over the same stream; returns accepted rows.
+
+    A word is accepted iff no accepted word matches more than 2k - d of its
+    elements, i.e. it keeps distance >= d to every accepted word.
+    """
+    limit = 2 * k - d
+    masks: list[tuple[int, int]] = []
+    accepted: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for a_cols, b_cols in _stream_words(n, k, seed):
+        for lo in range(0, len(a_cols[0]), _MASK_SLICE):
+            part = slice(lo, lo + _MASK_SLICE)
+            for a, b in zip(_rows(a_cols, part), _rows(b_cols, part)):
+                a1 = sum(1 << e for e in a)
+                a2 = sum(1 << e for e in b)
+                for b1, b2 in masks:
+                    straight = (a1 & b1).bit_count() + (a2 & b2).bit_count()
+                    crossed = (a1 & b2).bit_count() + (a2 & b1).bit_count()
+                    if straight > limit or crossed > limit:
+                        break
+                else:
+                    masks.append((a1, a2))
+                    accepted.append((a, b))
     return accepted

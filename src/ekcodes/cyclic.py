@@ -12,6 +12,7 @@ distance >= 2k-1.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -215,8 +216,11 @@ def search_antagonistic(
     symmetry-reduced tree was traversed (no limit or budget stop).
 
     When `checkpoint` names an existing nonempty file, the search resumes
-    from the partial assignments listed there (one JSON object per line);
-    on a budget stop the unexplored frontier is written back to it.
+    from the partial assignments listed there: a {"k", "m"} header line,
+    then one JSON object per frontier node.  A file written for other
+    parameters, or without a header, is refused.  On a budget stop the
+    unexplored frontier is written back to it through a temporary file
+    and an atomic rename; an exhausted search leaves it empty.
     """
     del seed  # traversal is deterministic by design
     if k < 1:
@@ -226,12 +230,21 @@ def search_antagonistic(
 
     stack: list[tuple[tuple[int, ...], tuple[int, ...]]]
     ckpt = Path(checkpoint) if checkpoint is not None else None
-    if ckpt is not None and ckpt.exists() and ckpt.read_text(encoding="utf-8").strip():
+    saved = ckpt.read_text(encoding="utf-8") if ckpt is not None and ckpt.exists() else ""
+    lines = [line for line in saved.splitlines() if line.strip()]
+    if lines:
+        header = json.loads(lines[0])
+        if not isinstance(header, dict) or set(header) != {"k", "m"}:
+            raise ParameterError(f"checkpoint {ckpt} has no (k, m) header; refusing to resume")
+        if (header["k"], header["m"]) != (k, m):
+            raise ParameterError(
+                f"checkpoint {ckpt} holds a (k, m) = ({header['k']}, {header['m']}) frontier, "
+                f"not ({k}, {m})"
+            )
         stack = []
-        for line in ckpt.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                obj = json.loads(line)
-                stack.append((tuple(obj["S"]), tuple(obj["T"])))
+        for line in lines[1:]:
+            obj = json.loads(line)
+            stack.append((tuple(obj["S"]), tuple(obj["T"])))
         stack.reverse()  # file lists frontier top-first
     else:
         stack = [((0,), ())]
@@ -264,7 +277,14 @@ def search_antagonistic(
     frontier = list(reversed(stack))
     if ckpt is not None:
         lines = [json.dumps({"S": list(s), "T": list(t)}) for s, t in frontier]
-        ckpt.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        if lines:
+            lines.insert(0, json.dumps({"k": k, "m": m}))
+        tmp = ckpt.with_name(ckpt.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.write("\n".join(lines) + ("\n" if lines else ""))
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, ckpt)
     pairs = [found[key] for key in sorted(found)]
     return AntagonisticSearch(pairs, exhausted=not stopped, nodes=nodes, frontier=frontier)
 

@@ -35,7 +35,6 @@ from .metric import qary_distance, qary_pair_distance, tuple_distance, witness_s
 
 _NUMPY_PAIR_THRESHOLD = 3_000_000
 _SEQUENTIAL_UNIVERSE_CAP = 2_000_000
-_FAST_ENGINE_THRESHOLD = 150_000
 _DEFAULT_WORD_CEILING = 5_000
 
 
@@ -90,7 +89,9 @@ def verify_code(code: Code, threads: int = 1) -> int | float:
     """Exact minimum pairwise distance; stored on the code as a side effect.
 
     Codes with fewer than two words verify to the +infinity sentinel.
-    `threads` only affects wall time, never the result.
+    `threads` only affects wall time, never the result: it parallelizes
+    the pure-Python path for pair codes of at most 3M word pairs; above
+    that, numpy runs single-threaded.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
@@ -165,35 +166,6 @@ def min_distance_at_least(code: Code, d: int) -> bool:
     return True
 
 
-def _greedy_sequential_pairs(n: int, k: int, d: int, seed: int, mode: str) -> frozenset[STuple]:
-    universe = list(enumerate_words(n, k, 2))
-    random.Random(seed).shuffle(universe)
-    accepted: list[STuple] = []
-    if mode == "witness":
-        claimed: set = set()
-        for word in universe:
-            wits = witness_set(word, d)
-            if claimed.isdisjoint(wits):
-                claimed |= wits
-                accepted.append(word)
-    else:
-        masks: list[tuple[int, int]] = []
-        limit = 2 * k - d  # max matched common elements at distance >= d
-        for word in universe:
-            a1, a2 = word.parts[0].mask, word.parts[1].mask
-            ok = True
-            for b1, b2 in masks:
-                straight = (a1 & b1).bit_count() + (a2 & b2).bit_count()
-                crossed = (a1 & b2).bit_count() + (a2 & b1).bit_count()
-                if max(straight, crossed) > limit:
-                    ok = False
-                    break
-            if ok:
-                masks.append((a1, a2))
-                accepted.append(word)
-    return frozenset(accepted)
-
-
 def _greedy_tuples(n: int, k: int, d: int, s: int, seed: int) -> frozenset[STuple]:
     universe = list(enumerate_words(n, k, s))
     random.Random(seed).shuffle(universe)
@@ -227,13 +199,16 @@ def greedy_code(
 ) -> Code:
     """Seeded random-permutation greedy; the output is maximal.
 
-    Set-world pairs accept a word iff none of its witnesses is already
-    claimed (equivalently, iff it keeps distance >= d to every accepted
-    word; the two acceptance rules coincide word for word).  s-tuple and
-    q-ary modes use the direct distance rule.  mode forces "witness" or
-    "distance" acceptance for pairs; "auto" uses the witness index, via a
-    vectorized engine when the universe is large.  s defaults to 2 in the
-    set world and to 1 (single words) for q-ary alphabets.
+    Set-world pairs read one seeded word stream (`_greedy_fast`) and accept
+    a word iff none of its witnesses is already claimed, equivalently iff
+    it keeps distance >= d to every accepted word; the two acceptance
+    rules coincide word for word.  mode forces "witness" or "distance"
+    acceptance for pairs; "auto" uses the witness rule.  The witness rule
+    needs dense key arrays; where they do not fit, the distance rule runs.
+    s-tuple and q-ary modes use the direct distance rule over a shuffled
+    universe.  The distance rule refuses universes above `max_universe`
+    words.  s defaults to 2 in the set world and to 1 (single words) for
+    q-ary alphabets.
     """
     if mode not in ("auto", "witness", "distance"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -254,19 +229,14 @@ def greedy_code(
         if size > max_universe:
             raise ParameterError(f"universe exceeds {max_universe} words")
         return Code(n, k, s, 0, d, _greedy_tuples(n, k, d, s, seed))
-    if mode == "distance":
+    if mode != "distance" and _greedy_fast.applicable(n, k, d):
+        rows = _greedy_fast.greedy_pairs(n, k, d, seed)
+    else:
         if size > max_universe:
             raise ParameterError(f"universe exceeds {max_universe} words")
-        return Code(n, k, 2, 0, d, _greedy_sequential_pairs(n, k, d, seed, "distance"))
-    if size > _FAST_ENGINE_THRESHOLD and _greedy_fast.applicable(n, k, d):
-        rows = _greedy_fast.greedy_pairs(n, k, d, seed)
-        words = frozenset(
-            STuple((KSubset(n, a), KSubset(n, b))) for a, b in rows
-        )
-        return Code(n, k, 2, 0, d, words)
-    if size > max_universe:
-        raise ParameterError(f"universe exceeds {max_universe} words")
-    return Code(n, k, 2, 0, d, _greedy_sequential_pairs(n, k, d, seed, "witness"))
+        rows = _greedy_fast.greedy_pairs_by_distance(n, k, d, seed)
+    words = frozenset(STuple((KSubset(n, a), KSubset(n, b))) for a, b in rows)
+    return Code(n, k, 2, 0, d, words)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -201,6 +202,28 @@ def test_search_checkpoint_resume(tmp_path):
     assert step.exhausted
     assert ckpt.read_text().strip() == ""
     assert {(p.s_set, p.t_set) for p in full.pairs} <= found
+
+
+def test_search_checkpoint_refuses_other_parameters(tmp_path):
+    ckpt = tmp_path / "frontier.txt"
+    first = search_antagonistic(4, 33, node_budget=2000, checkpoint=ckpt)
+    assert not first.exhausted
+    saved = ckpt.read_text()
+    assert json.loads(saved.splitlines()[0]) == {"k": 4, "m": 33}
+    with pytest.raises(ParameterError, match=r"\(4, 33\).*\(4, 35\)"):
+        search_antagonistic(4, 35, checkpoint=ckpt)
+    with pytest.raises(ParameterError, match=r"\(4, 33\).*\(2, 33\)"):
+        search_antagonistic(2, 33, node_budget=2000, checkpoint=ckpt)
+    assert ckpt.read_text() == saved  # a refused resume leaves the frontier intact
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_search_checkpoint_without_header_is_refused(tmp_path):
+    ckpt = tmp_path / "frontier.txt"
+    search_antagonistic(3, 19, node_budget=500, checkpoint=ckpt)
+    ckpt.write_text("\n".join(ckpt.read_text().splitlines()[1:]) + "\n")
+    with pytest.raises(ParameterError, match="no \\(k, m\\) header"):
+        search_antagonistic(3, 19, checkpoint=ckpt)
 
 
 def test_every_small_search_find_yields_valid_orbit_code():

@@ -6,7 +6,9 @@ import pytest
 from ekcodes import (
     Code,
     CyclicGeneratorPair,
+    KSubset,
     ParameterError,
+    STuple,
     canonicalize,
     enumerate_qary_words,
     enumerate_words,
@@ -24,6 +26,7 @@ from ekcodes import (
     verify_code,
     witness_set,
 )
+from ekcodes import _greedy_fast
 from ekcodes.search import _pair_common_numpy, _pair_common_rows
 
 
@@ -150,8 +153,64 @@ def test_greedy_disjoint_support_sizes():
         assert verify_code(code) >= 2 * k
 
 
+def _stream_witness_greedy(n, k, d, seed):
+    """Oracle: walk the engine's word stream one word at a time, claiming witness_set."""
+    claimed: set = set()
+    accepted = set()
+    for a_cols, b_cols in _greedy_fast._stream_words(n, k, seed):
+        a_rows = zip(*(c.tolist() for c in a_cols))
+        b_rows = zip(*(c.tolist() for c in b_cols))
+        for a, b in zip(a_rows, b_rows):
+            word = STuple((KSubset(n, a), KSubset(n, b)))
+            wits = witness_set(word, d)
+            if claimed.isdisjoint(wits):
+                claimed |= wits
+                accepted.add(word)
+    return frozenset(accepted)
+
+
+def _small_draws(count, seed):
+    draws = [(7, 1, 1, 3), (9, 1, 2, 8), (8, 2, 1, 5), (11, 2, 4, 6), (12, 3, 6, 2)]
+    rng = random.Random(seed)
+    while len(draws) < count:
+        n = rng.randint(4, 12)
+        k = rng.randint(1, 3)
+        if 2 * k <= n:
+            draws.append((n, k, rng.randint(1, 2 * k), rng.randint(0, 10**6)))
+    return draws
+
+
+@pytest.mark.parametrize("n,k,d,seed", _small_draws(30, 43))
+def test_greedy_matches_sequential_stream_oracle(n, k, d, seed):
+    expected = _stream_witness_greedy(n, k, d, seed)
+    assert greedy_code(n, k, d, seed).words == expected
+    assert greedy_code(n, k, d, seed, mode="distance").words == expected
+
+
+def test_greedy_pairs_independent_of_chunk():
+    for n, k, d, seed in ((12, 2, 3, 9), (9, 3, 4, 2), (9, 1, 2, 5)):
+        rows = _greedy_fast.greedy_pairs(n, k, d, seed)
+        for chunk in (1, 7, 300):
+            assert _greedy_fast.greedy_pairs(n, k, d, seed, chunk) == rows
+
+
+def test_greedy_distance_route_when_keys_do_not_fit(monkeypatch):
+    draws = ((14, 2, 3, 9), (12, 3, 2, 4), (10, 2, 1, 7))
+    vectorized = [greedy_code(n, k, d, seed).words for n, k, d, seed in draws]
+    monkeypatch.setattr(_greedy_fast, "SPACE_CAP", 1)
+    for (n, k, d, seed), words in zip(draws, vectorized):
+        assert not _greedy_fast.applicable(n, k, d)
+        assert greedy_code(n, k, d, seed, mode="witness").words == words
+
+
+@pytest.mark.parametrize("n,k,d,seed", [(36, 2, 3, 5), (35, 2, 4, 5)])
+def test_greedy_modes_agree_on_large_universe(n, k, d, seed):
+    via_witness = greedy_code(n, k, d, seed, mode="witness")
+    assert via_witness.words == greedy_code(n, k, d, seed, mode="distance").words
+
+
 def test_greedy_fast_engine_valid_and_maximal():
-    # large enough to dispatch the vectorized engine
+    # a 176,715-word universe, screened over many doubling slices
     code = greedy_code(36, 2, 3, seed=5)
     assert verify_code(code) >= 3
     assert len(code) <= upper_bound(36, 2, 3).floor_value
