@@ -9,6 +9,7 @@ out of budget without a find/optimum.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -419,7 +420,7 @@ def build_parser() -> _Parser:
         "--threads",
         type=int,
         default=int(os.environ.get("EK_THREADS", "1")),
-        help="worker count; never changes output values",
+        help="accepted but has no effect: verification runs one single-threaded kernel",
     )
     common.add_argument("--budget-seconds", type=float, default=None)
     common.add_argument("--out", type=Path, default=None, help="write the produced artifact here")
@@ -507,9 +508,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=4)
+def _parser_for(ek_threads: str | None) -> _Parser:
+    """build_parser() once per EK_THREADS value, which sets the --threads default."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser_for(os.environ.get("EK_THREADS")).parse_args(argv)
     fmt = args.format
     seed = args.seed
     try:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import ParameterError, QaryPairWord, QaryWord, STuple
 
@@ -74,6 +73,9 @@ def tuple_distance(x: STuple, y: STuple, method: str = "auto") -> int:
                 best = total
         return best
     if method == "assignment":
+        # scipy costs most of the package's import time and only this uses it
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(np.asarray(cost))
         return int(np.asarray(cost)[rows, cols].sum())
     raise ParameterError(f"unknown method {method!r}")

@@ -1,9 +1,10 @@
 """Verification, randomized greedy construction, and exact maximum search.
 
-verify_code computes the exact minimum pairwise distance of a code (the
-all-pairs route); min_distance_at_least is the equivalent witness-overlap
-route for 2-part set-world codes.  greedy_code builds a maximal code from
-a seeded random permutation of the word universe.  exact_max_code is a
+verify_code computes the exact minimum pairwise distance of a code (for
+2-part set words, over the pairs that share an element);
+min_distance_at_least is the equivalent witness-overlap route for 2-part
+set-world codes.  greedy_code builds a maximal code from a seeded random
+permutation of the word universe.  exact_max_code is a
 branch-and-bound clique search over the compatibility graph, with a plain
 exhaustive enumeration kept alongside as an independent oracle.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,55 +33,57 @@ from .core import (
 )
 from .metric import qary_distance, qary_pair_distance, tuple_distance, witness_set
 
-_NUMPY_PAIR_THRESHOLD = 3_000_000
+_PAIR_TILE = 1 << 13
 _SEQUENTIAL_UNIVERSE_CAP = 2_000_000
 _DEFAULT_WORD_CEILING = 5_000
 
 
-def _pair_common_rows(masks: list[tuple[int, int]], lo: int, hi: int) -> int:
-    """Largest matched-common-element count over pairs (i, j), lo <= i < hi <= j."""
+def _pair_best_common(words: list[STuple], n: int, k: int) -> int:
+    """Largest matched-common-element count over all pairs of 2-part words.
+
+    Two words overlap only through elements they share, so the pairs that
+    matter are generated per element: incidences are sorted by element
+    (stably, so each element lists its words in ascending order, each at
+    most once since a word's parts are disjoint), and each incidence is
+    paired with every later one under the same element.  A pair (i, j)
+    keyed by straight (same side) or crossed (opposite sides) then occurs
+    once per common element, so the longest run of equal sorted keys is
+    the best common count.  Rows are walked in tiles of about
+    _PAIR_TILE generated pairs, which bounds the temporaries.
+    """
+    n_words = len(words)
+    width = 2 * k
+    rows = [w.parts[0].elements + w.parts[1].elements for w in words]
+    flat = np.array(rows, dtype=np.int32).ravel()
+    order = np.argsort(flat, kind="stable").astype(np.int32)
+    sorted_words = order // width
+    sorted_sides = order % width >= k
+    # partners of each incidence: the later incidences under its element
+    ends = np.cumsum(np.bincount(flat, minlength=n), dtype=np.int32)[flat[order]]
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size, dtype=np.int32)
+    partners = (ends - 1)[position] - position
+    row_end = np.cumsum(partners.reshape(n_words, width).sum(axis=1, dtype=np.int64))
+
     best = 0
-    n_words = len(masks)
-    for i in range(lo, hi):
-        a1, a2 = masks[i]
-        for j in range(i + 1, n_words):
-            b1, b2 = masks[j]
-            straight = (a1 & b1).bit_count() + (a2 & b2).bit_count()
-            crossed = (a1 & b2).bit_count() + (a2 & b1).bit_count()
-            if crossed > straight:
-                straight = crossed
-            if straight > best:
-                best = straight
-    return best
-
-
-def _pair_common_worker(args: tuple[list[tuple[int, int]], int, int]) -> int:
-    return _pair_common_rows(*args)
-
-
-def _pack_parts(masks: list[tuple[int, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    width = (n + 63) // 64
-    first = np.zeros((len(masks), width), dtype=np.uint64)
-    second = np.zeros_like(first)
-    chunk_mask = (1 << 64) - 1
-    for row, (m1, m2) in enumerate(masks):
-        for w in range(width):
-            first[row, w] = (m1 >> (64 * w)) & chunk_mask
-            second[row, w] = (m2 >> (64 * w)) & chunk_mask
-    return first, second
-
-
-def _pair_common_numpy(masks: list[tuple[int, int]], n: int) -> int:
-    first, second = _pack_parts(masks, n)
-    best = 0
-    for i in range(len(masks) - 1):
-        c11 = np.bitwise_count(first[i + 1 :] & first[i]).sum(axis=1, dtype=np.int64)
-        c22 = np.bitwise_count(second[i + 1 :] & second[i]).sum(axis=1, dtype=np.int64)
-        c12 = np.bitwise_count(second[i + 1 :] & first[i]).sum(axis=1, dtype=np.int64)
-        c21 = np.bitwise_count(first[i + 1 :] & second[i]).sum(axis=1, dtype=np.int64)
-        row_best = int(np.maximum(c11 + c22, c12 + c21).max())
-        if row_best > best:
-            best = row_best
+    lo = 0
+    while lo < n_words:
+        done = row_end[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(row_end, done + _PAIR_TILE, side="right")), lo + 1)
+        counts = partners[lo * width : hi * width]
+        total = int(counts.sum())
+        if total:
+            first = position[lo * width : hi * width] + 1
+            starts = np.cumsum(counts) - counts
+            partner = np.repeat(first - starts, counts) + np.arange(total, dtype=np.int32)
+            incidence = np.repeat(np.arange(lo * width, hi * width, dtype=np.int32), counts)
+            keys = (incidence // width - lo).astype(np.int64) * n_words + sorted_words[partner]
+            keys = keys * 2 + ((incidence % width >= k) != sorted_sides[partner])
+            keys.sort()
+            cuts = np.flatnonzero(keys[1:] != keys[:-1])
+            runs = np.diff(cuts, prepend=-1, append=keys.size - 1)
+            best = max(best, int(runs.max()))
+        lo = hi
     return best
 
 
@@ -89,9 +91,8 @@ def verify_code(code: Code, threads: int = 1) -> int | float:
     """Exact minimum pairwise distance; stored on the code as a side effect.
 
     Codes with fewer than two words verify to the +infinity sentinel.
-    `threads` only affects wall time, never the result: it parallelizes
-    the pure-Python path for pair codes of at most 3M word pairs; above
-    that, numpy runs single-threaded.
+    Pair codes run one single-threaded numpy kernel over shared elements
+    (`_pair_best_common`).  `threads` is validated but changes nothing.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
@@ -101,18 +102,7 @@ def verify_code(code: Code, threads: int = 1) -> int | float:
         return math.inf
 
     if code.q == 0 and code.s == 2:
-        masks = [(w.parts[0].mask, w.parts[1].mask) for w in words]
-        pairs = len(words) * (len(words) - 1) // 2
-        if pairs > _NUMPY_PAIR_THRESHOLD:
-            best_common = _pair_common_numpy(masks, code.n)
-        elif threads > 1:
-            bounds = _row_chunks(len(words), threads)
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = pool.map(_pair_common_worker, [(masks, lo, hi) for lo, hi in bounds])
-            best_common = max(results)
-        else:
-            best_common = _pair_common_rows(masks, 0, len(words) - 1)
-        minimum = 2 * code.k - best_common
+        minimum = 2 * code.k - _pair_best_common(words, code.n, code.k)
     elif code.q == 0:
         minimum = min(
             tuple_distance(words[i], words[j])
@@ -132,25 +122,6 @@ def verify_code(code: Code, threads: int = 1) -> int | float:
         )
     code.verified_min_distance = minimum
     return minimum
-
-
-def _row_chunks(n_words: int, parts: int) -> list[tuple[int, int]]:
-    """Split rows 0..n_words-2 into ranges of roughly equal pair counts."""
-    total = n_words * (n_words - 1) // 2
-    target = total / parts
-    bounds = []
-    lo = 0
-    done = 0.0
-    for _ in range(parts - 1):
-        hi = lo
-        load = 0.0
-        while hi < n_words - 1 and load < target:
-            load += n_words - 1 - hi
-            hi += 1
-        bounds.append((lo, hi))
-        lo = hi
-    bounds.append((lo, n_words - 1))
-    return [(a, b) for a, b in bounds if a < b]
 
 
 def min_distance_at_least(code: Code, d: int) -> bool:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ekcodes import load_code, load_design
+import ekcodes
+from ekcodes import cli, load_code, load_design
 from ekcodes.cli import main
 
 
@@ -215,3 +220,37 @@ def test_ek_threads_env_fallback(monkeypatch, capsys):
 
     args = build_parser().parse_args(["verify", "x.json"])
     assert args.threads == 2
+
+
+def test_main_reads_ek_threads_on_every_call(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "c9.json"
+    run(capsys, "antagonistic", "orbit", "--m", "9", "--s", "1,8", "--t", "2,3", "--out", str(path))
+    seen = []
+    verify = cli.verify_code
+
+    def spy(code, threads=1):
+        seen.append(threads)
+        return verify(code, threads=threads)
+
+    monkeypatch.setattr(cli, "verify_code", spy)
+    for value in ("2", "3", "2"):
+        monkeypatch.setenv("EK_THREADS", value)
+        assert run(capsys, "verify", str(path))[0] == 0
+    assert seen == [2, 3, 2]
+
+
+def test_import_and_dist_leave_scipy_unloaded():
+    script = (
+        "import sys\n"
+        "import ekcodes\n"
+        "assert 'scipy' not in sys.modules, 'import ekcodes loaded scipy'\n"
+        "from ekcodes.cli import main\n"
+        "main(['dist', '--n', '9', '--k', '2', '--a', '1,8|2,3', '--b', '2,0|3,4'])\n"
+        "assert 'scipy' not in sys.modules, 'ekcodes dist loaded scipy'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ekcodes.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "distance: 3"

@@ -26,8 +26,7 @@ from ekcodes import (
     verify_code,
     witness_set,
 )
-from ekcodes import _greedy_fast
-from ekcodes.search import _pair_common_numpy, _pair_common_rows
+from ekcodes import _greedy_fast, search
 
 
 def test_verify_orbit_codes():
@@ -62,11 +61,39 @@ def test_verify_threads_do_not_change_result():
     assert sequential == parallel == 5
 
 
-def test_numpy_and_python_pair_kernels_agree():
-    rng = random.Random(11)
-    words = rng.sample(list(enumerate_words(10, 2, 2)), 60)
-    masks = [(w.parts[0].mask, w.parts[1].mask) for w in words]
-    assert _pair_common_rows(masks, 0, len(masks) - 1) == _pair_common_numpy(masks, 10)
+def _random_pair_codes(count: int, seed: int) -> list[Code]:
+    rng = random.Random(seed)
+    disjoint = [canonicalize([(4 * i, 4 * i + 1), (4 * i + 2, 4 * i + 3)], 12) for i in range(3)]
+    crossed = [canonicalize([(0, 1), (2, 3)], 6), canonicalize([(2, 3), (4, 5)], 6)]
+    codes = [
+        # no two words share an element: distance 2k
+        Code(12, 2, 2, 0, 1, frozenset(disjoint)),
+        # the crossed matching beats the straight one
+        Code(6, 2, 2, 0, 1, frozenset(crossed)),
+    ]
+    while len(codes) < count:
+        k = rng.randint(1, 4)
+        n = rng.choice([2 * k, 2 * k + 1, rng.randint(2 * k, 12), 63, 64, 65, 130, 361])
+        words = set()
+        for _ in range(rng.randint(2, 60)):
+            elements = rng.sample(range(n), 2 * k)
+            words.add(canonicalize([elements[:k], elements[k:]], n))
+        codes.append(Code(n, k, 2, 0, 1, frozenset(words)))
+    return codes
+
+
+@pytest.mark.parametrize("tile", [1, 3, 64, search._PAIR_TILE])
+def test_verify_pair_codes_match_brute_force(monkeypatch, tile):
+    monkeypatch.setattr(search, "_PAIR_TILE", tile)
+    codes = _random_pair_codes(100, seed=11)
+    for code in codes:
+        words = sorted(code.words)
+        brute = min(
+            (pair_distance(a, b) for i, a in enumerate(words) for b in words[i + 1 :]),
+            default=math.inf,
+        )
+        assert verify_code(code) == brute, (code.n, code.k, words)
+    assert [c.verified_min_distance for c in codes[:2]] == [4, 2]
 
 
 def test_verify_stuple_code():
