@@ -112,17 +112,23 @@ def is_antagonistic(g: CyclicGeneratorPair) -> AntagonismReport:
 
 
 def canonical_generator_form(g: CyclicGeneratorPair) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Least representative of g's orbit under rotation, reflection, and swap."""
+    """Least representative of g's orbit under rotation, reflection, and swap.
+
+    Some rotation puts 0 in the first set, and a first set holding 0 sorts
+    below any without it, so the least representative has 0 as the smallest
+    element of its first set.  Only the k rotations sending an element of
+    the first set to 0 are tried per (sign, order): 4k candidates, not 4m.
+    """
     m = g.m
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for sign in (1, -1):
         s0 = [sign * x % m for x in g.s_set]
         t0 = [sign * x % m for x in g.t_set]
         for first, second in ((s0, t0), (t0, s0)):
-            for shift in range(m):
+            for pivot in first:
                 cand = (
-                    tuple(sorted((x + shift) % m for x in first)),
-                    tuple(sorted((x + shift) % m for x in second)),
+                    tuple(sorted((x - pivot) % m for x in first)),
+                    tuple(sorted((x - pivot) % m for x in second)),
                 )
                 if best is None or cand < best:
                     best = cand
@@ -147,52 +153,79 @@ class AntagonisticSearch:
     frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
 
 
-def _extensions(state: tuple[tuple[int, ...], tuple[int, ...]], k: int, m: int) -> list:
-    """Valid children of a partial assignment, in increasing element order.
+# A search node: the partial pair (S, T) and bitmasks of the within-set and
+# cross distances it uses.
+_Node = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
-    Re-derives the used-distance sets from the partial pair; a child is
-    kept only if its new within/cross distances avoid every collision the
-    antagonism conditions forbid.
+
+def _distance_bits(m: int) -> list[int]:
+    """bits[r] = 1 << circular_distance(0, r, m), for r in [0, m).
+
+    bits[e - a] is then the distance bit of a and e in [0, m): a negative
+    index wraps to (e - a) mod m.
     """
-    s, t = state
-    half = m // 2 if m % 2 == 0 else -1
-    within: set[int] = set()
+    return [1 << min(r, m - r) for r in range(m)]
+
+
+def _node(s: tuple[int, ...], t: tuple[int, ...], m: int, bits: list[int]) -> _Node:
+    """A partial pair with its used-distance masks, derived from scratch.
+
+    Both masks are seeded with the m/2 bit when m is even, so that distance
+    is never admitted as a new within or cross distance.
+    """
+    seed = bits[m // 2] if m % 2 == 0 else 0
+    within = cross = seed
     for group in (s, t):
         for i, a in enumerate(group):
             for b in group[i + 1 :]:
-                within.add(circular_distance(a, b, m))
-    if len(s) < k:
-        children = []
-        start = s[-1] + 1 if s else 0
-        for e in range(start, m):
-            new = [circular_distance(a, e, m) for a in s]
-            if len(set(new)) != len(new) or within.intersection(new):
-                continue
-            if half > 0 and half in new:
-                continue
-            children.append(((*s, e), t))
-        return children
-    cross = set()
+                within |= bits[b - a]
     for a in s:
         for b in t:
-            cross.add(circular_distance(a, b, m))
-    children = []
-    start = t[-1] + 1 if t else 1
-    used = set(s)
-    for e in range(start, m):
-        if e in used:
+            cross |= bits[b - a]
+    return s, t, within, cross
+
+
+def _extensions(node: _Node, k: int, m: int, bits: list[int]) -> list[_Node]:
+    """Valid children of a partial assignment, in increasing element order.
+
+    The node carries its used within and cross distances as bitmasks, and
+    `bits` (see _distance_bits) gives each new distance's bit by one list
+    lookup.  A child is kept only if its new within/cross distances are
+    distinct and miss the parent's masks, which holds every collision the
+    antagonism conditions forbid; it carries the masks with its own
+    distances added.
+    """
+    s, t, within, cross = node
+    children: list[_Node] = []
+    if len(s) < k:
+        for e in range(s[-1] + 1 if s else 0, m):
+            used = within
+            for a in s:
+                bit = bits[e - a]
+                if used & bit:
+                    break
+                used |= bit
+            else:
+                children.append(((*s, e), t, used, cross))
+        return children
+    for e in range(t[-1] + 1 if t else 1, m):
+        if e in s:
             continue
-        new_within = [circular_distance(a, e, m) for a in t]
-        if len(set(new_within)) != len(new_within) or within.intersection(new_within):
-            continue
-        if half > 0 and half in new_within:
-            continue
-        new_cross = [circular_distance(a, e, m) for a in s]
-        if len(set(new_cross)) != len(new_cross) or cross.intersection(new_cross):
-            continue
-        if half > 0 and half in new_cross:
-            continue
-        children.append((s, (*t, e)))
+        used = within
+        for a in t:
+            bit = bits[e - a]
+            if used & bit:
+                break
+            used |= bit
+        else:
+            crossed = cross
+            for a in s:
+                bit = bits[e - a]
+                if crossed & bit:
+                    break
+                crossed |= bit
+            else:
+                children.append((s, (*t, e), used, crossed))
     return children
 
 
@@ -228,7 +261,8 @@ def search_antagonistic(
     if 2 * k > m:
         raise ParameterError(f"infeasible: 2k = {2 * k} exceeds m = {m}")
 
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    bits = _distance_bits(m)
+    stack: list[_Node]
     ckpt = Path(checkpoint) if checkpoint is not None else None
     saved = ckpt.read_text(encoding="utf-8") if ckpt is not None and ckpt.exists() else ""
     lines = [line for line in saved.splitlines() if line.strip()]
@@ -244,10 +278,13 @@ def search_antagonistic(
         stack = []
         for line in lines[1:]:
             obj = json.loads(line)
-            stack.append((tuple(obj["S"]), tuple(obj["T"])))
+            s, t = tuple(obj["S"]), tuple(obj["T"])
+            if not all(0 <= x < m for x in s + t):
+                raise ParameterError(f"checkpoint {ckpt} lists residues outside [0, {m})")
+            stack.append(_node(s, t, m, bits))
         stack.reverse()  # file lists frontier top-first
     else:
-        stack = [((0,), ())]
+        stack = [_node((0,), (), m, bits)]
 
     found: dict[tuple[tuple[int, ...], tuple[int, ...]], CyclicGeneratorPair] = {}
     nodes = 0
@@ -260,9 +297,9 @@ def search_antagonistic(
         if wall_budget_s is not None and time.monotonic() - t0 > wall_budget_s:
             stopped = True
             break
-        state = stack.pop()
+        node = stack.pop()
         nodes += 1
-        s, t = state
+        s, t = node[0], node[1]
         if len(t) == k:
             pair = CyclicGeneratorPair(m, s, t)
             canon = canonical_generator_form(pair)
@@ -272,9 +309,9 @@ def search_antagonistic(
                     stopped = True
                     break
             continue
-        stack.extend(reversed(_extensions(state, k, m)))
+        stack.extend(reversed(_extensions(node, k, m, bits)))
 
-    frontier = list(reversed(stack))
+    frontier = [(s, t) for s, t, _, _ in reversed(stack)]
     if ckpt is not None:
         lines = [json.dumps({"S": list(s), "T": list(t)}) for s, t in frontier]
         if lines:

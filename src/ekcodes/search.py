@@ -5,8 +5,10 @@ verify_code computes the exact minimum pairwise distance of a code (for
 min_distance_at_least is the equivalent witness-overlap route for 2-part
 set-world codes.  greedy_code builds a maximal code from a seeded random
 permutation of the word universe.  exact_max_code is a
-branch-and-bound clique search over the compatibility graph, with a plain
-exhaustive enumeration kept alongside as an independent oracle.
+branch-and-bound clique search over the compatibility graph, which it
+builds from shared witness keys; exhaustive_max_code, a plain enumeration
+over a graph built by comparing every pair of words, is kept alongside as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -221,8 +223,41 @@ class SearchReport:
     node_budget_hit: bool = False
 
 
-def _compatibility_masks(words: list[STuple], k: int, d: int) -> list[int]:
-    """Adjacency bitsets of the distance->=d compatibility graph."""
+def _compatibility_masks(words: list[STuple], n: int, k: int, d: int) -> list[int]:
+    """Adjacency bitsets of the distance->=d compatibility graph, from shared witnesses.
+
+    Two words are at distance <= d - 1 iff they share a witness, so the
+    witness keys of all words are sorted and each group of equal keys is
+    ORed into its members' conflict masks; a word is adjacent to every word
+    outside its own conflict mask.
+    """
+    builder = _greedy_fast._KeyBuilder(n, k, d)
+    # With more witnesses per word than half the words, the key arrays
+    # outgrow the pairwise comparison: (14,7,7) has 3003 keys per word and
+    # peaks near 400 MB, against 30 MB pairwise.  Keys must also fit int64.
+    if 2 * len(builder.plans) > len(words) or builder.total_space >= 1 << 63:
+        return _pairwise_compatibility_masks(words, k, d)
+    a_cols = [np.array(col, dtype=np.int64) for col in zip(*(w.parts[0].elements for w in words))]
+    b_cols = [np.array(col, dtype=np.int64) for col in zip(*(w.parts[1].elements for w in words))]
+    keys = np.stack(builder.build(a_cols, b_cols), axis=1).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    owners = (order // len(builder.plans)).tolist()
+    cuts = [0, *(np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist(), len(owners)]
+    conflict = [0] * len(words)
+    for lo, hi in zip(cuts, cuts[1:]):
+        group = owners[lo:hi]
+        mask = 0
+        for i in group:
+            mask |= 1 << i
+        for i in group:
+            conflict[i] |= mask
+    full = (1 << len(words)) - 1
+    return [full & ~mask for mask in conflict]
+
+
+def _pairwise_compatibility_masks(words: list[STuple], k: int, d: int) -> list[int]:
+    """Adjacency bitsets of the distance->=d graph, one bitmask comparison per pair."""
     limit = 2 * k - d
     masks = [(w.parts[0].mask, w.parts[1].mask) for w in words]
     adjacency = [0] * len(words)
@@ -266,12 +301,12 @@ def exact_max_code(
     code, so the parameter bound caps every branch).  Exceeding a budget
     returns the incumbent with optimal=False.
     """
+    param_cap = upper_bound(n, k, d).floor_value
     total = word_count(n, k, 2)
     if total > word_ceiling:
         raise ParameterError(f"universe has {total} words, above the ceiling {word_ceiling}")
     words = list(enumerate_words(n, k, 2))
-    adjacency = _compatibility_masks(words, k, d)
-    param_cap = upper_bound(n, k, d).floor_value
+    adjacency = _compatibility_masks(words, n, k, d)
 
     best_set = _first_fit_clique(adjacency)
     best = best_set.bit_count()
@@ -336,7 +371,7 @@ def exhaustive_max_code(n: int, k: int, d: int, word_ceiling: int = 2_000) -> in
     if total > word_ceiling:
         raise ParameterError(f"universe has {total} words, above the ceiling {word_ceiling}")
     words = list(enumerate_words(n, k, 2))
-    adjacency = _compatibility_masks(words, k, d)
+    adjacency = _pairwise_compatibility_masks(words, k, d)
     best = 0
 
     def extend(candidates: int, size: int) -> None:

@@ -226,6 +226,13 @@ def test_search_checkpoint_without_header_is_refused(tmp_path):
         search_antagonistic(3, 19, checkpoint=ckpt)
 
 
+def test_search_checkpoint_with_foreign_residues_is_refused(tmp_path):
+    ckpt = tmp_path / "frontier.txt"
+    ckpt.write_text('{"k": 3, "m": 19}\n{"S": [0, 40], "T": []}\n')
+    with pytest.raises(ParameterError, match="outside"):
+        search_antagonistic(3, 19, checkpoint=ckpt)
+
+
 def test_every_small_search_find_yields_valid_orbit_code():
     # end-to-end distance guarantee over every find at desk scale
     for k in (2, 3):
@@ -261,3 +268,130 @@ def test_multi_orbit_accepts_stuple_generators():
     gen = canonicalize([(0, 7), (2, 6)], 17)
     code = multi_orbit_code(17, [gen], d=3)
     assert len(code) == 17
+
+
+def _full_orbit_canonical_form(g):
+    """Oracle: the least of all 4m rotated, reflected and swapped images."""
+    m = g.m
+    images = []
+    for sign in (1, -1):
+        s0 = [sign * x % m for x in g.s_set]
+        t0 = [sign * x % m for x in g.t_set]
+        for first, second in ((s0, t0), (t0, s0)):
+            for shift in range(m):
+                images.append(
+                    (
+                        tuple(sorted((x + shift) % m for x in first)),
+                        tuple(sorted((x + shift) % m for x in second)),
+                    )
+                )
+    return min(images)
+
+
+def _random_pair(rng, m, k):
+    elements = rng.sample(range(m), 2 * k)
+    return CyclicGeneratorPair(m, elements[:k], elements[k:])
+
+
+def test_canonical_form_matches_full_orbit_oracle():
+    rng = random.Random(23)
+    for m in range(3, 61):
+        for _ in range(12):
+            k = rng.randint(1, min(6, m // 2))
+            pair = _random_pair(rng, m, k)
+            canon = canonical_generator_form(pair)
+            assert canon == _full_orbit_canonical_form(pair), (m, pair)
+            # an image under a random symmetry is equivalent; an unrelated pair
+            # is equivalent exactly when the oracle forms agree
+            sign, shift = rng.choice((1, -1)), rng.randrange(m)
+            s_img = [(sign * x + shift) % m for x in pair.s_set]
+            t_img = [(sign * x + shift) % m for x in pair.t_set]
+            if rng.random() < 0.5:
+                s_img, t_img = t_img, s_img
+            image = CyclicGeneratorPair(m, s_img, t_img)
+            assert generators_equivalent(pair, image)
+            other = _random_pair(rng, m, k)
+            assert generators_equivalent(pair, other) == (
+                _full_orbit_canonical_form(pair) == _full_orbit_canonical_form(other)
+            )
+
+
+def _rebuilt_extensions(state, k, m):
+    """Oracle: children of a partial pair, re-deriving the used distances each time."""
+    s, t = state
+    half = m // 2 if m % 2 == 0 else -1
+    within = set()
+    for group in (s, t):
+        for i, a in enumerate(group):
+            for b in group[i + 1 :]:
+                within.add(circular_distance(a, b, m))
+    if len(s) < k:
+        children = []
+        start = s[-1] + 1 if s else 0
+        for e in range(start, m):
+            new = [circular_distance(a, e, m) for a in s]
+            if len(set(new)) != len(new) or within.intersection(new):
+                continue
+            if half > 0 and half in new:
+                continue
+            children.append(((*s, e), t))
+        return children
+    cross = set()
+    for a in s:
+        for b in t:
+            cross.add(circular_distance(a, b, m))
+    children = []
+    start = t[-1] + 1 if t else 1
+    used = set(s)
+    for e in range(start, m):
+        if e in used:
+            continue
+        new_within = [circular_distance(a, e, m) for a in t]
+        if len(set(new_within)) != len(new_within) or within.intersection(new_within):
+            continue
+        if half > 0 and half in new_within:
+            continue
+        new_cross = [circular_distance(a, e, m) for a in s]
+        if len(set(new_cross)) != len(new_cross) or cross.intersection(new_cross):
+            continue
+        if half > 0 and half in new_cross:
+            continue
+        children.append((s, (*t, e)))
+    return children
+
+
+def _rebuilt_search(k, m, node_budget=None):
+    """Oracle: the depth-first antagonistic tree over _rebuilt_extensions."""
+    stack = [((0,), ())]
+    found = set()
+    nodes = 0
+    while stack and (node_budget is None or nodes < node_budget):
+        s, t = stack.pop()
+        nodes += 1
+        if len(t) == k:
+            found.add(_full_orbit_canonical_form(CyclicGeneratorPair(m, s, t)))
+            continue
+        stack.extend(reversed(_rebuilt_extensions((s, t), k, m)))
+    return nodes, sorted(found), list(reversed(stack))
+
+
+def _tree(result):
+    return result.nodes, [(p.s_set, p.t_set) for p in result.pairs], result.frontier
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_search_tree_matches_rebuilding_oracle(k):
+    for m in range(2 * k, 26):
+        for budget in (None, 1, 400):
+            assert _tree(search_antagonistic(k, m, node_budget=budget)) == _rebuilt_search(
+                k, m, budget
+            ), (k, m, budget)
+
+
+def test_search_frontier_matches_rebuilding_oracle_4_33():
+    assert _tree(search_antagonistic(4, 33, node_budget=2000)) == _rebuilt_search(4, 33, 2000)
+
+
+def test_search_3_19_tree_size_pinned():
+    result = search_antagonistic(3, 19)
+    assert (result.nodes, len(result.pairs)) == (5167, 12)

@@ -329,3 +329,27 @@ def test_ratio_experiment_table():
         assert row["limit_constant"] == 0.125
     again = ratio_experiment(2, 3, [12, 16], seed=1, repetitions=2)
     assert rows == again
+
+
+@pytest.mark.parametrize(
+    "k,n_values",
+    [(1, [*range(2, 13), 66]), (2, range(4, 12)), (3, range(6, 10))],
+)
+def test_witness_graph_matches_pairwise_graph(k, n_values):
+    for n in n_values:
+        words = list(enumerate_words(n, k, 2))
+        for d in range(1, 2 * k + 1):
+            assert search._compatibility_masks(words, n, k, d) == (
+                search._pairwise_compatibility_masks(words, k, d)
+            ), (n, k, d)
+
+
+@pytest.mark.parametrize("d", [0, 5])
+def test_exact_rejects_bad_distance_before_building(monkeypatch, d):
+    def unreachable(*args):
+        raise AssertionError("words enumerated or graph built for a bad d")
+
+    monkeypatch.setattr(search, "enumerate_words", unreachable)
+    monkeypatch.setattr(search, "_compatibility_masks", unreachable)
+    with pytest.raises(ParameterError, match="need 1 <= d <= 2k <= n"):
+        exact_max_code(8, 2, d)
