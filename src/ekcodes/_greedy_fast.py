@@ -58,20 +58,6 @@ def _feistel32(values: np.ndarray, nbits: int, keys: np.ndarray) -> np.ndarray:
     return (left.astype(np.uint64) << np.uint64(half)) | right
 
 
-def _feistel64(values: np.ndarray, nbits: int, keys: np.ndarray) -> np.ndarray:
-    half = nbits // 2
-    hmask = np.uint64((1 << half) - 1)
-    left = values >> np.uint64(half)
-    right = values & hmask
-    for key in keys:
-        mix = right * np.uint64(0x9E3779B97F4A7C15) + key
-        mix ^= mix >> np.uint64(29)
-        mix *= np.uint64(0xBF58476D1CE4E5B9)
-        mix ^= mix >> np.uint64(32)
-        left, right = right, left ^ (mix & hmask)
-    return (left << np.uint64(half)) | right
-
-
 def _permuted_chunks(m: int, seed: int, chunk: int):
     """Yield a seeded permutation of range(m) in chunks."""
     rng = np.random.default_rng(seed)
@@ -84,22 +70,14 @@ def _permuted_chunks(m: int, seed: int, chunk: int):
     if nbits % 2:
         nbits += 1
     domain = 1 << nbits
-    if nbits <= 32:
-        keys = rng.integers(0, 2**31, size=4, dtype=np.uint32)
-        for lo in range(0, domain, chunk):
-            block = np.arange(lo, min(lo + chunk, domain), dtype=np.uint32)
-            vals = _feistel32(block, nbits, keys)
-            vals = vals[vals < m]
-            if vals.size:
-                yield vals
-    else:
-        keys = rng.integers(0, 2**63, size=4, dtype=np.uint64)
-        for lo in range(0, domain, chunk):
-            block = np.arange(lo, min(lo + chunk, domain), dtype=np.uint64)
-            vals = _feistel64(block, nbits, keys)
-            vals = vals[vals < m]
-            if vals.size:
-                yield vals
+    # _stream_words caps m at STREAM_CAP = 2^30, so nbits <= 32
+    keys = rng.integers(0, 2**31, size=4, dtype=np.uint32)
+    for lo in range(0, domain, chunk):
+        block = np.arange(lo, min(lo + chunk, domain), dtype=np.uint32)
+        vals = _feistel32(block, nbits, keys)
+        vals = vals[vals < m]
+        if vals.size:
+            yield vals
 
 
 def _lex_columns(n: int, k: int) -> list[np.ndarray]:

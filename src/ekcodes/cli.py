@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -155,7 +154,7 @@ def _cmd_dist(args, fmt: str) -> int:
 
 def _cmd_verify(args, fmt: str) -> int:
     code = load_code(args.file)
-    minimum = verify_code(code, threads=args.threads)
+    minimum = verify_code(code)
     shown = "inf" if math.isinf(minimum) else minimum
     ok = minimum >= code.d
     _emit(
@@ -349,7 +348,7 @@ def _cmd_compose(args, fmt: str) -> int:
             verify_code(code)
         bases[code.n] = code
     composed = compose_code(design, bases, args.k, args.d)
-    minimum = verify_code(composed, threads=args.threads)
+    minimum = verify_code(composed)
     ok = minimum >= args.d
     if args.out:
         save_code(composed, args.out)
@@ -412,16 +411,12 @@ def _cmd_ratio(args, fmt: str, seed: int) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process and reused by in-process calls."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--seed", type=int, default=None, help="seed for randomized commands (default 0)")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("EK_THREADS", "1")),
-        help="accepted but has no effect: verification runs one single-threaded kernel",
-    )
     common.add_argument("--budget-seconds", type=float, default=None)
     common.add_argument("--out", type=Path, default=None, help="write the produced artifact here")
 
@@ -508,14 +503,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-@functools.lru_cache(maxsize=4)
-def _parser_for(ek_threads: str | None) -> _Parser:
-    """build_parser() once per EK_THREADS value, which sets the --threads default."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser_for(os.environ.get("EK_THREADS")).parse_args(argv)
+    args = build_parser().parse_args(argv)
     fmt = args.format
     seed = args.seed
     try:

@@ -3,7 +3,7 @@
 The transportation distance between two words is the minimum, over
 matchings of their parts, of the number of elements that must move.  For
 pairs this is min(|A1-B1|+|A2-B2|, |A1-B2|+|A2-B1|); for s-tuples the
-minimum runs over all part permutations (an assignment problem).
+minimum runs over all part matchings (an assignment problem).
 
 A witness of a pair-word {A, B} at design distance d is an unordered pair
 {U, V} of disjoint sets with |U|+|V| = 2k-d+1 embedded in the word's two
@@ -16,12 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-import numpy as np
-
 from .core import ParameterError, QaryPairWord, QaryWord, STuple
 
 _PERMUTATION_LIMIT = 8
-_AUTO_PERMUTATION_MAX = 4
 
 
 def _check_same_world(x: STuple, y: STuple) -> None:
@@ -54,14 +51,16 @@ def _move_cost_matrix(x: STuple, y: STuple) -> list[list[int]]:
 def tuple_distance(x: STuple, y: STuple, method: str = "auto") -> int:
     """Transportation distance between two s-part words.
 
-    method="permutation" minimizes over all s! part matchings (the
-    oracle, s <= 8); method="assignment" solves the assignment problem
-    exactly.  "auto" picks by s.  Both methods are exact and agree.
+    The cost of moving part i of x onto part j of y is k minus their common
+    elements; the distance is the cheapest perfect matching of parts.
+    "auto" (or "assignment") finds it exactly by a DP over the sets of y's
+    parts already matched, O(2^s * s): best[mask] is the cheapest way to
+    match x's first popcount(mask) parts onto the parts in mask.
+    method="permutation" minimizes over all s! matchings (the oracle,
+    s <= 8).  Both methods are exact and agree.
     """
     _check_same_world(x, y)
     s = x.s
-    if method == "auto":
-        method = "permutation" if s <= _AUTO_PERMUTATION_MAX else "assignment"
     cost = _move_cost_matrix(x, y)
     if method == "permutation":
         if s > _PERMUTATION_LIMIT:
@@ -72,13 +71,21 @@ def tuple_distance(x: STuple, y: STuple, method: str = "auto") -> int:
             if total < best:
                 best = total
         return best
-    if method == "assignment":
-        # scipy costs most of the package's import time and only this uses it
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(np.asarray(cost))
-        return int(np.asarray(cost)[rows, cols].sum())
-    raise ParameterError(f"unknown method {method!r}")
+    if method not in ("auto", "assignment"):
+        raise ParameterError(f"unknown method {method!r}")
+    best = [0] * (1 << s)
+    for mask in range(1, 1 << s):
+        row = cost[mask.bit_count() - 1]
+        cheapest = s * x.k
+        rest = mask
+        while rest:
+            low = rest & -rest
+            total = best[mask ^ low] + row[low.bit_length() - 1]
+            if total < cheapest:
+                cheapest = total
+            rest ^= low
+        best[mask] = cheapest
+    return best[-1]
 
 
 def qary_distance(u: QaryWord, v: QaryWord) -> int:

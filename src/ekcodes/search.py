@@ -1,10 +1,13 @@
 """Verification, randomized greedy construction, and exact maximum search.
 
-verify_code computes the exact minimum pairwise distance of a code (for
-2-part set words, over the pairs that share an element);
-min_distance_at_least is the equivalent witness-overlap route for 2-part
-set-world codes.  greedy_code builds a maximal code from a seeded random
-permutation of the word universe.  exact_max_code is a
+verify_code computes the exact minimum pairwise distance of every code
+with one numpy kernel.  Each word becomes a row of incidence ids: a set
+word's part elements, a q-ary word's support positions i followed by
+n + i*q + symbol, and a q-ary pair's two words in turn; only pairs of
+words that share an id are examined.  min_distance_at_least is the
+equivalent witness-overlap route for 2-part set-world codes.
+greedy_code builds a maximal code from a seeded random permutation of
+the word universe.  exact_max_code is a
 branch-and-bound clique search over the compatibility graph, which it
 builds from shared witness keys; exhaustive_max_code, a plain enumeration
 over a graph built by comparing every pair of words, is kept alongside as
@@ -17,6 +20,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -33,54 +37,62 @@ from .core import (
     qary_word_count,
     word_count,
 )
-from .metric import qary_distance, qary_pair_distance, tuple_distance, witness_set
+from .metric import qary_distance, tuple_distance, witness_set
 
 _PAIR_TILE = 1 << 13
 _SEQUENTIAL_UNIVERSE_CAP = 2_000_000
 _DEFAULT_WORD_CEILING = 5_000
 
 
-def _pair_best_common(words: list[STuple], n: int, k: int) -> int:
-    """Largest matched-common-element count over all pairs of 2-part words.
+def _best_common(rows: np.ndarray, s: int) -> int:
+    """Largest matched-incidence count over all pairs of rows of s equal parts.
 
-    Two words overlap only through elements they share, so the pairs that
-    matter are generated per element: incidences are sorted by element
-    (stably, so each element lists its words in ascending order, each at
-    most once since a word's parts are disjoint), and each incidence is
-    paired with every later one under the same element.  A pair (i, j)
-    keyed by straight (same side) or crossed (opposite sides) then occurs
-    once per common element, so the longest run of equal sorted keys is
-    the best common count.  Rows are walked in tiles of about
-    _PAIR_TILE generated pairs, which bounds the temporaries.
+    Two words interact only through incidence ids they share, so the pairs
+    that matter are generated per id: incidences are sorted by id (stably,
+    so each id lists its rows in ascending order, each at most once since a
+    row's ids are distinct), and each incidence is paired with every later
+    one under the same id.  A shared incidence of parts (pi, pj) keys the
+    pair once for each part matching sigma with sigma(pi) = pj, looked up
+    in an (s*s) x (s-1)! table of matching ids.  A key then occurs once
+    per incidence its matching keeps, so the longest run of equal sorted
+    keys is the best matching over all pairs.  Rows are walked in tiles of
+    about _PAIR_TILE generated keys, which bounds the temporaries.
     """
-    n_words = len(words)
-    width = 2 * k
-    rows = [w.parts[0].elements + w.parts[1].elements for w in words]
-    flat = np.array(rows, dtype=np.int32).ravel()
+    n_rows, width = rows.shape
+    part_width = width // s
+    matchings = list(permutations(range(s)))
+    table = np.array(
+        [[m for m, sigma in enumerate(matchings) if sigma[pi] == pj] for pi in range(s) for pj in range(s)],
+        dtype=np.int64,
+    )
+    flat = rows.ravel()
     order = np.argsort(flat, kind="stable").astype(np.int32)
-    sorted_words = order // width
-    sorted_sides = order % width >= k
-    # partners of each incidence: the later incidences under its element
-    ends = np.cumsum(np.bincount(flat, minlength=n), dtype=np.int32)[flat[order]]
+    sorted_offsets = (order // width).astype(np.int64) * len(matchings)
+    sorted_parts = order % width // part_width
+    # partners of each incidence: the later incidences under its id
+    ends = np.cumsum(np.bincount(flat), dtype=np.int32)[flat[order]]
     position = np.empty_like(order)
     position[order] = np.arange(order.size, dtype=np.int32)
     partners = (ends - 1)[position] - position
-    row_end = np.cumsum(partners.reshape(n_words, width).sum(axis=1, dtype=np.int64))
+    row_end = np.cumsum(partners.reshape(n_rows, width).sum(axis=1, dtype=np.int64)) * table.shape[1]
+    # each incidence's own share of its keys: its row's pair offset and its part's first cell
+    own_offsets = np.repeat(np.arange(n_rows, dtype=np.int64) * (n_rows * len(matchings)), width)
+    own_cells = np.tile(np.arange(width, dtype=np.int32) // part_width * s, n_rows)
 
     best = 0
     lo = 0
-    while lo < n_words:
+    while lo < n_rows:
         done = row_end[lo - 1] if lo else 0
         hi = max(int(np.searchsorted(row_end, done + _PAIR_TILE, side="right")), lo + 1)
-        counts = partners[lo * width : hi * width]
+        span = slice(lo * width, hi * width)
+        counts = partners[span]
         total = int(counts.sum())
         if total:
-            first = position[lo * width : hi * width] + 1
             starts = np.cumsum(counts) - counts
-            partner = np.repeat(first - starts, counts) + np.arange(total, dtype=np.int32)
-            incidence = np.repeat(np.arange(lo * width, hi * width, dtype=np.int32), counts)
-            keys = (incidence // width - lo).astype(np.int64) * n_words + sorted_words[partner]
-            keys = keys * 2 + ((incidence % width >= k) != sorted_sides[partner])
+            partner = np.repeat(position[span] + 1 - starts, counts) + np.arange(total, dtype=np.int32)
+            cells = np.repeat(own_cells[span], counts) + sorted_parts[partner]
+            keys = np.repeat(own_offsets[span], counts) + sorted_offsets[partner]
+            keys = (keys[:, None] + table[cells]).ravel()
             keys.sort()
             cuts = np.flatnonzero(keys[1:] != keys[:-1])
             runs = np.diff(cuts, prepend=-1, append=keys.size - 1)
@@ -89,39 +101,40 @@ def _pair_best_common(words: list[STuple], n: int, k: int) -> int:
     return best
 
 
-def verify_code(code: Code, threads: int = 1) -> int | float:
+def _incidence_rows(code: Code, words: list) -> np.ndarray:
+    """Each word as one row of distinct incidence ids, s parts of equal width.
+
+    A set-world part lists its elements.  A weight-k q-ary word lists its
+    support positions i and then n + i*q + u_i, so two words share
+    |supp u & supp v| + |{i : u_i = v_i != 0}| = 2k - d_H(u, v) ids; a
+    q-ary pair lists u's ids and then v's.
+    """
+    if code.q == 0:
+        elements = chain.from_iterable([part.elements for w in words for part in w.parts])
+        return np.fromiter(elements, dtype=np.int32).reshape(len(words), -1)
+    members = [(w,) if code.s == 1 else (w.u, w.v) for w in words]
+    symbols = np.array([[m.symbols for m in ms] for ms in members], dtype=np.int32)
+    support = np.nonzero(symbols)[2].reshape(len(words), code.s, code.k).astype(np.int32)
+    values = np.take_along_axis(symbols, support, axis=2)
+    return np.concatenate([support, code.n + support * code.q + values], axis=2).reshape(len(words), -1)
+
+
+def verify_code(code: Code) -> int | float:
     """Exact minimum pairwise distance; stored on the code as a side effect.
 
-    Codes with fewer than two words verify to the +infinity sentinel.
-    Pair codes run one single-threaded numpy kernel over shared elements
-    (`_pair_best_common`).  `threads` is validated but changes nothing.
+    Codes with fewer than two words verify to the +infinity sentinel.  Every
+    kind of code runs one numpy kernel (`_best_common`) over its words'
+    incidence rows (`_incidence_rows`): s-tuples of k-subsets have s parts
+    of k elements, q-ary words one part of 2k ids, and q-ary pairs two
+    parts of 2k ids.  The distance of two rows of width w is w minus their
+    best part matching of shared ids, so the minimum is w minus the kernel.
     """
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
     words = list(code.words)
     if len(words) < 2:
         code.verified_min_distance = math.inf
         return math.inf
-
-    if code.q == 0 and code.s == 2:
-        minimum = 2 * code.k - _pair_best_common(words, code.n, code.k)
-    elif code.q == 0:
-        minimum = min(
-            tuple_distance(words[i], words[j])
-            for i in range(len(words) - 1)
-            for j in range(i + 1, len(words))
-        )
-    elif code.s == 1:
-        rows = np.array([w.symbols for w in words], dtype=np.int16)
-        minimum = min(
-            int((rows[i] != rows[i + 1 :]).sum(axis=1).min()) for i in range(len(words) - 1)
-        )
-    else:
-        minimum = min(
-            qary_pair_distance(words[i], words[j])
-            for i in range(len(words) - 1)
-            for j in range(i + 1, len(words))
-        )
+    rows = _incidence_rows(code, words)
+    minimum = rows.shape[1] - _best_common(rows, code.s)
     code.verified_min_distance = minimum
     return minimum
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ekcodes
-from ekcodes import cli, load_code, load_design
+from ekcodes import load_code, load_design
 from ekcodes.cli import main
 
 
@@ -204,39 +204,6 @@ def test_invalid_parameters_exit_one(capsys):
     code, _, err = run(capsys, "bound", "--n", "4", "--k", "3", "--d", "2")
     assert code == 1
     assert "error" in err
-
-
-def test_threads_flag_value_invariance(tmp_path, capsys):
-    path = tmp_path / "c19.json"
-    run(capsys, "antagonistic", "orbit", "--m", "19", "--s", "1,5,0", "--t", "2,13,15", "--out", str(path))
-    code1, out1, _ = run(capsys, "verify", str(path), "--format", "json")
-    code2, out2, _ = run(capsys, "verify", str(path), "--format", "json", "--threads", "2")
-    assert (code1, out1) == (code2, out2)
-
-
-def test_ek_threads_env_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("EK_THREADS", "2")
-    from ekcodes.cli import build_parser
-
-    args = build_parser().parse_args(["verify", "x.json"])
-    assert args.threads == 2
-
-
-def test_main_reads_ek_threads_on_every_call(monkeypatch, tmp_path, capsys):
-    path = tmp_path / "c9.json"
-    run(capsys, "antagonistic", "orbit", "--m", "9", "--s", "1,8", "--t", "2,3", "--out", str(path))
-    seen = []
-    verify = cli.verify_code
-
-    def spy(code, threads=1):
-        seen.append(threads)
-        return verify(code, threads=threads)
-
-    monkeypatch.setattr(cli, "verify_code", spy)
-    for value in ("2", "3", "2"):
-        monkeypatch.setenv("EK_THREADS", value)
-        assert run(capsys, "verify", str(path))[0] == 0
-    assert seen == [2, 3, 2]
 
 
 def test_import_and_dist_leave_scipy_unloaded():

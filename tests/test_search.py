@@ -8,6 +8,8 @@ from ekcodes import (
     CyclicGeneratorPair,
     KSubset,
     ParameterError,
+    QaryPairWord,
+    QaryWord,
     STuple,
     canonicalize,
     enumerate_qary_words,
@@ -20,6 +22,7 @@ from ekcodes import (
     orbit_code,
     pair_distance,
     qary_distance,
+    qary_pair_distance,
     ratio_experiment,
     tuple_distance,
     upper_bound,
@@ -54,13 +57,6 @@ def test_verify_matches_brute_force_tuple_distance():
     assert verify_code(code) == brute
 
 
-def test_verify_threads_do_not_change_result():
-    code = orbit_code(CyclicGeneratorPair(19, (1, 5, 19), (2, 13, 15)))
-    sequential = verify_code(code, threads=1)
-    parallel = verify_code(code, threads=2)
-    assert sequential == parallel == 5
-
-
 def _random_pair_codes(count: int, seed: int) -> list[Code]:
     rng = random.Random(seed)
     disjoint = [canonicalize([(4 * i, 4 * i + 1), (4 * i + 2, 4 * i + 3)], 12) for i in range(3)]
@@ -82,18 +78,90 @@ def _random_pair_codes(count: int, seed: int) -> list[Code]:
     return codes
 
 
+def _random_tuple_codes(s: int, count: int, seed: int) -> list[Code]:
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        n = rng.choice([s * k, s * k + 1, rng.randint(s * k, s * k + 8), 40])
+        words = set()
+        for _ in range(rng.randint(2, 30)):
+            elements = rng.sample(range(n), s * k)
+            words.add(canonicalize([elements[i * k : (i + 1) * k] for i in range(s)], n))
+        codes.append(Code(n, k, s, 0, 1, frozenset(words)))
+    return codes
+
+
+def _random_qary_word(rng, n: int, q: int, support: list[int]) -> QaryWord:
+    symbols = [0] * n
+    for i in support:
+        symbols[i] = rng.randint(1, q - 1)
+    return QaryWord(n, q, tuple(symbols))
+
+
+def _random_qary_codes(s: int, count: int, seed: int) -> list[Code]:
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(count):
+        q = rng.randint(2, 4)
+        k = rng.randint(1, 3)
+        n = rng.randint(s * k, s * k + 6)
+        words = set()
+        for _ in range(rng.randint(2, 40)):
+            positions = rng.sample(range(n), s * k)
+            members = [_random_qary_word(rng, n, q, positions[i * k : (i + 1) * k]) for i in range(s)]
+            words.add(members[0] if s == 1 else QaryPairWord(*members))
+        codes.append(Code(n, k, s, q, 1, frozenset(words)))
+    return codes
+
+
+def _shared_nothing_codes() -> list[Code]:
+    """One code of each kind whose words share no incidence: distance s * w."""
+    rng = random.Random(5)
+    tuples = [canonicalize([(6 * i + j,) for j in range(3)], 18) for i in range(3)]
+    singles = [_random_qary_word(rng, 9, 4, [3 * i, 3 * i + 1, 3 * i + 2]) for i in range(3)]
+    pairs = [
+        QaryPairWord(
+            _random_qary_word(rng, 12, 3, [4 * i, 4 * i + 1]),
+            _random_qary_word(rng, 12, 3, [4 * i + 2, 4 * i + 3]),
+        )
+        for i in range(3)
+    ]
+    return [
+        Code(18, 1, 3, 0, 1, frozenset(tuples)),
+        Code(9, 3, 1, 4, 1, frozenset(singles)),
+        Code(12, 2, 2, 3, 1, frozenset(pairs)),
+    ]
+
+
+def _brute_min_distance(code: Code) -> int | float:
+    if code.q == 0:
+        distance = tuple_distance
+    elif code.s == 1:
+        distance = qary_distance
+    else:
+        distance = qary_pair_distance
+    words = list(code.words)
+    return min(
+        (distance(a, b) for i, a in enumerate(words) for b in words[i + 1 :]),
+        default=math.inf,
+    )
+
+
 @pytest.mark.parametrize("tile", [1, 3, 64, search._PAIR_TILE])
 def test_verify_pair_codes_match_brute_force(monkeypatch, tile):
+    """The incidence kernel against brute force on every kind of code."""
     monkeypatch.setattr(search, "_PAIR_TILE", tile)
     codes = _random_pair_codes(100, seed=11)
+    for s in (1, 3, 4, 5):
+        codes += _random_tuple_codes(s, 15, seed=20 + s)
+    codes += _random_qary_codes(1, 25, seed=31) + _random_qary_codes(2, 25, seed=32)
+    codes += _shared_nothing_codes()
     for code in codes:
-        words = sorted(code.words)
-        brute = min(
-            (pair_distance(a, b) for i, a in enumerate(words) for b in words[i + 1 :]),
-            default=math.inf,
-        )
-        assert verify_code(code) == brute, (code.n, code.k, words)
+        brute = _brute_min_distance(code)
+        assert verify_code(code) == brute, (code.n, code.k, code.s, code.q, sorted(map(repr, code.words)))
     assert [c.verified_min_distance for c in codes[:2]] == [4, 2]
+    assert [c.verified_min_distance for c in codes[-3:]] == [3, 6, 8]
 
 
 def test_verify_stuple_code():
