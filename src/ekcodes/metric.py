@@ -13,6 +13,7 @@ witness, which turns distance-threshold checks into set intersections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -53,9 +54,11 @@ def tuple_distance(x: STuple, y: STuple, method: str = "auto") -> int:
 
     The cost of moving part i of x onto part j of y is k minus their common
     elements; the distance is the cheapest perfect matching of parts.
-    "auto" (or "assignment") finds it exactly by a DP over the sets of y's
-    parts already matched, O(2^s * s): best[mask] is the cheapest way to
-    match x's first popcount(mask) parts onto the parts in mask.
+    "auto" (or "assignment") finds it exactly, in O(s^3), by the Hungarian
+    method with shortest augmenting paths: each part of x in turn joins the
+    matching along the cheapest path of reduced costs cost[i][j] - u[i] -
+    v[j] from a virtual column 0, and the potentials u, v keep every
+    reduced cost nonnegative, so -v[0] ends as the cheapest total.
     method="permutation" minimizes over all s! matchings (the oracle,
     s <= 8).  Both methods are exact and agree.
     """
@@ -65,27 +68,40 @@ def tuple_distance(x: STuple, y: STuple, method: str = "auto") -> int:
     if method == "permutation":
         if s > _PERMUTATION_LIMIT:
             raise ParameterError(f"permutation method limited to s <= {_PERMUTATION_LIMIT}")
-        best = s * x.k
-        for perm in permutations(range(s)):
-            total = sum(cost[i][perm[i]] for i in range(s))
-            if total < best:
-                best = total
-        return best
+        return min(sum(cost[i][perm[i]] for i in range(s)) for perm in permutations(range(s)))
     if method not in ("auto", "assignment"):
         raise ParameterError(f"unknown method {method!r}")
-    best = [0] * (1 << s)
-    for mask in range(1, 1 << s):
-        row = cost[mask.bit_count() - 1]
-        cheapest = s * x.k
-        rest = mask
-        while rest:
-            low = rest & -rest
-            total = best[mask ^ low] + row[low.bit_length() - 1]
-            if total < cheapest:
-                cheapest = total
-            rest ^= low
-        best[mask] = cheapest
-    return best[-1]
+    u = [0] * (s + 1)
+    v = [0] * (s + 1)
+    match = [0] * (s + 1)  # part of x (1-based) held by each column; column 0 is the root
+    way = [0] * (s + 1)
+    for i in range(1, s + 1):
+        match[0] = i
+        col = 0
+        minv = [math.inf] * (s + 1)
+        used = [False] * (s + 1)
+        while match[col]:
+            used[col] = True
+            row = match[col]
+            delta, nxt = math.inf, 0
+            for j in range(1, s + 1):
+                if not used[j]:
+                    reduced = cost[row - 1][j - 1] - u[row] - v[j]
+                    if reduced < minv[j]:
+                        minv[j], way[j] = reduced, col
+                    if minv[j] < delta:
+                        delta, nxt = minv[j], j
+            for j in range(s + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            col = nxt
+        while col:
+            match[col] = match[way[col]]
+            col = way[col]
+    return -v[0]
 
 
 def qary_distance(u: QaryWord, v: QaryWord) -> int:

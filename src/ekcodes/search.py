@@ -4,7 +4,8 @@ verify_code computes the exact minimum pairwise distance of every code
 with one numpy kernel.  Each word becomes a row of incidence ids: a set
 word's part elements, a q-ary word's support positions i followed by
 n + i*q + symbol, and a q-ary pair's two words in turn; only pairs of
-words that share an id are examined.  min_distance_at_least is the
+words that share an id are examined, and only those that could be the
+closest get an exact part matching.  min_distance_at_least is the
 equivalent witness-overlap route for 2-part set-world codes.
 greedy_code builds a maximal code from a seeded random permutation of
 the word universe.  exact_max_code is a
@@ -20,7 +21,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import chain
 
 import numpy as np
 
@@ -44,6 +45,58 @@ _SEQUENTIAL_UNIVERSE_CAP = 2_000_000
 _DEFAULT_WORD_CEILING = 5_000
 
 
+def _best_matchings(weights: np.ndarray) -> np.ndarray:
+    """Maximum-weight perfect matching of each s x s matrix in a batch.
+
+    The Hungarian method by shortest augmenting paths, as in
+    metric.tuple_distance, run on the whole batch at once: each step grows
+    every unfinished path by one column (a finished one idles), so a batch
+    takes O(s^2) numpy steps of O(batch * s) work.  Costs are the negated
+    weights, and -v[0] ends as the cheapest cost, so v[0] is the best weight.
+    """
+    batch, s, _ = weights.shape
+    cost = np.zeros((batch, s + 1, s + 1), dtype=np.int64)
+    cost[:, 1:, 1:] = -weights
+    u = np.zeros((batch, s + 1), dtype=np.int64)
+    v = np.zeros_like(u)
+    match = np.zeros((batch, s + 1), dtype=np.intp)  # row held by each column; column 0 is the root
+    way = np.zeros_like(match)
+    b = np.arange(batch)
+    inf = np.iinfo(np.int64).max // 2
+    for i in range(1, s + 1):
+        match[:, 0] = i
+        col = np.zeros(batch, dtype=np.intp)
+        minv = np.full((batch, s + 1), inf)
+        used = np.zeros((batch, s + 1), dtype=bool)
+        grow = np.ones(batch, dtype=bool)
+        while grow.any():
+            used[b, col] = True
+            row = match[b, col]
+            reduced = cost[b, row] - u[b, row][:, None] - v
+            closer = grow[:, None] & ~used & (reduced < minv)
+            minv = np.where(closer, reduced, minv)
+            way = np.where(closer, col[:, None], way)
+            nxt = np.where(used, inf, minv).argmin(axis=1)
+            delta = np.where(grow, minv[b, nxt], 0)
+            held = np.nonzero(used)
+            u[held[0], match[held]] += delta[held[0]]
+            v -= np.where(used, delta[:, None], 0)
+            minv -= np.where(used, 0, delta[:, None])
+            col = np.where(grow, nxt, col)
+            grow &= match[b, col] != 0
+        while col.any():
+            back = way[b, col]
+            match[b, col] = np.where(col != 0, match[b, back], match[b, col])
+            col = back
+    return v[:, 0]
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in a nonempty array."""
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return starts, np.diff(starts, append=values.size)
+
+
 def _best_common(rows: np.ndarray, s: int) -> int:
     """Largest matched-incidence count over all pairs of rows of s equal parts.
 
@@ -52,32 +105,29 @@ def _best_common(rows: np.ndarray, s: int) -> int:
     so each id lists its rows in ascending order, each at most once since a
     row's ids are distinct), and each incidence is paired with every later
     one under the same id.  A shared incidence of parts (pi, pj) keys the
-    pair once for each part matching sigma with sigma(pi) = pj, looked up
-    in an (s*s) x (s-1)! table of matching ids.  A key then occurs once
-    per incidence its matching keeps, so the longest run of equal sorted
-    keys is the best matching over all pairs.  Rows are walked in tiles of
-    about _PAIR_TILE generated keys, which bounds the temporaries.
+    pair of rows (i, j) once, as i*W + j shifted left by `shift` bits plus
+    the cell pi*s + pj.  After sorting, a pair's keys are contiguous and
+    its cells' runs are its s x s matrix of common counts.  A pair can beat
+    the best so far only if it shares more incidences than that, and only
+    if its row maxima and its column maxima both sum higher; those pairs go
+    on to the exact matching.  Rows are walked in tiles of about _PAIR_TILE
+    generated keys, which bounds the temporaries at every s.
     """
     n_rows, width = rows.shape
     part_width = width // s
-    matchings = list(permutations(range(s)))
-    table = np.array(
-        [[m for m, sigma in enumerate(matchings) if sigma[pi] == pj] for pi in range(s) for pj in range(s)],
-        dtype=np.int64,
-    )
+    shift = (s * s - 1).bit_length()
     flat = rows.ravel()
     order = np.argsort(flat, kind="stable").astype(np.int32)
-    sorted_offsets = (order // width).astype(np.int64) * len(matchings)
-    sorted_parts = order % width // part_width
+    sorted_keys = ((order // width).astype(np.int64) << shift) + order % width // part_width
     # partners of each incidence: the later incidences under its id
     ends = np.cumsum(np.bincount(flat), dtype=np.int32)[flat[order]]
     position = np.empty_like(order)
     position[order] = np.arange(order.size, dtype=np.int32)
     partners = (ends - 1)[position] - position
-    row_end = np.cumsum(partners.reshape(n_rows, width).sum(axis=1, dtype=np.int64)) * table.shape[1]
-    # each incidence's own share of its keys: its row's pair offset and its part's first cell
-    own_offsets = np.repeat(np.arange(n_rows, dtype=np.int64) * (n_rows * len(matchings)), width)
-    own_cells = np.tile(np.arange(width, dtype=np.int32) // part_width * s, n_rows)
+    row_end = np.cumsum(partners.reshape(n_rows, width).sum(axis=1, dtype=np.int64))
+    # each incidence's own share of its keys: its row's pair offset and its part's row of cells
+    own_keys = np.repeat(np.arange(n_rows, dtype=np.int64) * n_rows << shift, width)
+    own_keys += np.tile(np.arange(width) // part_width * s, n_rows)
 
     best = 0
     lo = 0
@@ -90,13 +140,19 @@ def _best_common(rows: np.ndarray, s: int) -> int:
         if total:
             starts = np.cumsum(counts) - counts
             partner = np.repeat(position[span] + 1 - starts, counts) + np.arange(total, dtype=np.int32)
-            cells = np.repeat(own_cells[span], counts) + sorted_parts[partner]
-            keys = np.repeat(own_offsets[span], counts) + sorted_offsets[partner]
-            keys = (keys[:, None] + table[cells]).ravel()
+            keys = np.repeat(own_keys[span], counts) + sorted_keys[partner]
             keys.sort()
-            cuts = np.flatnonzero(keys[1:] != keys[:-1])
-            runs = np.diff(cuts, prepend=-1, append=keys.size - 1)
-            best = max(best, int(runs.max()))
+            _, shared = _runs(keys >> shift)
+            if shared.max() > best:
+                keys = keys[np.repeat(shared > best, shared)]
+                firsts, runs = _runs(keys)
+                _, pair = np.unique(keys[firsts] >> shift, return_inverse=True)
+                common = np.zeros((s * s, pair[-1] + 1), dtype=np.int64)
+                common[keys[firsts] & (1 << shift) - 1, pair] = runs
+                common = common.reshape(s, s, -1)
+                bound = np.minimum(common.max(axis=0).sum(axis=0), common.max(axis=1).sum(axis=0))
+                if bound.max() > best:
+                    best = max(best, int(_best_matchings(common[:, :, bound > best].transpose(2, 0, 1)).max()))
         lo = hi
     return best
 

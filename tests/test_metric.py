@@ -85,7 +85,7 @@ def test_tuple_distance_coincides_with_pair_distance():
 
 
 def test_tuple_distance_permutation_vs_assignment():
-    """The matching DP against the s! permutation oracle, s = 1 to 7."""
+    """The Hungarian method against the s! permutation oracle, s = 1 to 7."""
     rng = random.Random(123)
     for trial in range(10_200):
         s = rng.randint(1, 6) if trial < 10_000 else 7
@@ -94,6 +94,19 @@ def test_tuple_distance_permutation_vs_assignment():
         x, y = random_word(rng, n, k, s), random_word(rng, n, k, s)
         oracle = tuple_distance(x, y, "permutation")
         assert tuple_distance(x, y) == tuple_distance(x, y, "assignment") == oracle
+
+
+def test_tuple_distance_at_large_s():
+    """A closed form at s = 30, far beyond s! matchings or 2^s subsets of parts.
+
+    Part i of y holds the second element of part i of x and the first of
+    part i + 1, so every part of y keeps one element at best.
+    """
+    s = 30
+    x = canonicalize([(2 * i, 2 * i + 1) for i in range(s)], 2 * s)
+    y = canonicalize([(2 * i + 1, (2 * i + 2) % (2 * s)) for i in range(s)], 2 * s)
+    assert tuple_distance(x, y) == tuple_distance(y, x) == s
+    assert tuple_distance(x, x) == 0
 
 
 def test_qary_distance_examples():

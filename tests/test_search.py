@@ -1,6 +1,8 @@
 import math
 import random
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from ekcodes import (
@@ -83,7 +85,7 @@ def _random_tuple_codes(s: int, count: int, seed: int) -> list[Code]:
     codes = []
     for _ in range(count):
         k = rng.randint(1, 3)
-        n = rng.choice([s * k, s * k + 1, rng.randint(s * k, s * k + 8), 40])
+        n = rng.choice([s * k, s * k + 1, rng.randint(s * k, s * k + 8), max(40, s * k)])
         words = set()
         for _ in range(rng.randint(2, 30)):
             elements = rng.sample(range(n), s * k)
@@ -153,7 +155,7 @@ def test_verify_pair_codes_match_brute_force(monkeypatch, tile):
     """The incidence kernel against brute force on every kind of code."""
     monkeypatch.setattr(search, "_PAIR_TILE", tile)
     codes = _random_pair_codes(100, seed=11)
-    for s in (1, 3, 4, 5):
+    for s in (1, 3, 4, 5, 12, 20):
         codes += _random_tuple_codes(s, 15, seed=20 + s)
     codes += _random_qary_codes(1, 25, seed=31) + _random_qary_codes(2, 25, seed=32)
     codes += _shared_nothing_codes()
@@ -162,6 +164,37 @@ def test_verify_pair_codes_match_brute_force(monkeypatch, tile):
         assert verify_code(code) == brute, (code.n, code.k, code.s, code.q, sorted(map(repr, code.words)))
     assert [c.verified_min_distance for c in codes[:2]] == [4, 2]
     assert [c.verified_min_distance for c in codes[-3:]] == [3, 6, 8]
+
+
+def test_best_matchings_against_permutations():
+    """The batched Hungarian method against all s! matchings, s = 1 to 6."""
+    rng = np.random.default_rng(3)
+    for s in range(1, 7):
+        for high in (2, 5):
+            weights = rng.integers(0, high, size=(60, s, s))
+            expected = [max(sum(w[i, p[i]] for i in range(s)) for p in permutations(range(s))) for w in weights]
+            assert search._best_matchings(weights).tolist() == expected
+
+
+def test_best_common_keeps_the_best_over_later_tiles(monkeypatch):
+    """A later pair whose bounds beat the best so far but whose matching does not.
+
+    Rows 0 and 1 keep 5 ids in one matching.  Rows 2 and 3 share 4, 2, 2
+    and 0 ids across their parts: row and column maxima sum to 6, yet each
+    matching keeps 4.
+    """
+    monkeypatch.setattr(search, "_PAIR_TILE", 1)
+    rows = np.array(
+        [
+            list(range(12)),
+            [0, 1, 2, 3, 4, 20, 21, 22, 23, 24, 25, 26],
+            list(range(100, 112)),
+            [100, 101, 102, 103, 106, 107, 104, 105, 200, 201, 202, 203],
+        ],
+        dtype=np.int32,
+    )
+    assert search._best_common(rows, 2) == 5
+    assert search._best_common(rows[2:], 2) == 4
 
 
 def test_verify_stuple_code():
