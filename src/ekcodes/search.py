@@ -93,7 +93,7 @@ def _best_matchings(weights: np.ndarray) -> np.ndarray:
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of each run of equal values in a nonempty array."""
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    starts = np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1))
     return starts, np.diff(starts, append=values.size)
 
 
@@ -108,10 +108,12 @@ def _best_common(rows: np.ndarray, s: int) -> int:
     pair of rows (i, j) once, as i*W + j shifted left by `shift` bits plus
     the cell pi*s + pj.  After sorting, a pair's keys are contiguous and
     its cells' runs are its s x s matrix of common counts.  A pair can beat
-    the best so far only if it shares more incidences than that, and only
-    if its row maxima and its column maxima both sum higher; those pairs go
-    on to the exact matching.  Rows are walked in tiles of about _PAIR_TILE
-    generated keys, which bounds the temporaries at every s.
+    the best so far only if it shares more incidences than that.  For those
+    pairs, the largest cell is a lower bound (any one cell extends to a
+    full matching), and only pairs whose row maxima and column maxima both
+    sum higher than the best go on to the exact matching.  Rows are walked
+    in tiles of about _PAIR_TILE generated keys, which bounds the
+    temporaries at every s.
     """
     n_rows, width = rows.shape
     part_width = width // s
@@ -146,11 +148,12 @@ def _best_common(rows: np.ndarray, s: int) -> int:
             if shared.max() > best:
                 keys = keys[np.repeat(shared > best, shared)]
                 firsts, runs = _runs(keys)
-                _, pair = np.unique(keys[firsts] >> shift, return_inverse=True)
-                common = np.zeros((s * s, pair[-1] + 1), dtype=np.int64)
-                common[keys[firsts] & (1 << shift) - 1, pair] = runs
+                best = max(best, int(runs.max()))
+                _, cells = _runs(keys[firsts] >> shift)
+                common = np.zeros((s * s, cells.size), dtype=np.int64)
+                common[keys[firsts] & (1 << shift) - 1, np.repeat(np.arange(cells.size), cells)] = runs
                 common = common.reshape(s, s, -1)
-                bound = np.minimum(common.max(axis=0).sum(axis=0), common.max(axis=1).sum(axis=0))
+                bound = np.minimum(common.max(axis=1).sum(axis=0), common.max(axis=0).sum(axis=0))
                 if bound.max() > best:
                     best = max(best, int(_best_matchings(common[:, :, bound > best].transpose(2, 0, 1)).max()))
         lo = hi
