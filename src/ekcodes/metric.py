@@ -79,24 +79,25 @@ def tuple_distance(x: STuple, y: STuple, method: str = "auto") -> int:
         match[0] = i
         col = 0
         minv = [math.inf] * (s + 1)
-        used = [False] * (s + 1)
+        path = [0]  # columns on the alternating tree, then the ones still off it
+        free = list(range(1, s + 1))
         while match[col]:
-            used[col] = True
             row = match[col]
+            costs, base = cost[row - 1], u[row]
             delta, nxt = math.inf, 0
-            for j in range(1, s + 1):
-                if not used[j]:
-                    reduced = cost[row - 1][j - 1] - u[row] - v[j]
-                    if reduced < minv[j]:
-                        minv[j], way[j] = reduced, col
-                    if minv[j] < delta:
-                        delta, nxt = minv[j], j
-            for j in range(s + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            for j in free:
+                reduced = costs[j - 1] - base - v[j]
+                if reduced < minv[j]:
+                    minv[j], way[j] = reduced, col
+                if minv[j] < delta:
+                    delta, nxt = minv[j], j
+            for j in path:
+                u[match[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
+            free.remove(nxt)
+            path.append(nxt)
             col = nxt
         while col:
             match[col] = match[way[col]]
