@@ -4,6 +4,13 @@ Ground sets are 0-based: elements live in [0, n).  Every word type is
 immutable and normalized to one canonical representative on construction,
 so structural equality, hashing, and byte-stable serialization hold
 everywhere else in the package without further care.
+
+Validation happens at the API: the public constructors (KSubset, STuple,
+canonicalize, Code, code_from_json) check every input.  Kernels whose
+rows are canonical by construction (a monotone gather through sorted
+blocks, sorted translates, the greedy word stream) build their words
+through one private constructor, `_canonical_words`, which sets each
+part's elements and mask without re-checking them.
 """
 
 from __future__ import annotations
@@ -13,8 +20,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -37,13 +47,6 @@ class DegenerateParametersWarning(UserWarning):
     """Parameters admit no words at all (s*k > n)."""
 
 
-def _as_mask(elements: Iterable[int]) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << e
-    return m
-
-
 @dataclass(frozen=True)
 class KSubset:
     """A strictly increasing k-subset of the ground set [0, n)."""
@@ -53,24 +56,35 @@ class KSubset:
     mask: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ParameterError(f"ground set size must be nonnegative, got n={self.n}")
-        elems = tuple(int(e) for e in self.elements)
+        n = self.n
+        if n < 0:
+            raise ParameterError(f"ground set size must be nonnegative, got n={n}")
+        elems = tuple(map(int, self.elements))
         object.__setattr__(self, "elements", elems)
-        for prev, cur in zip(elems, elems[1:]):
-            if prev == cur:
-                raise PartSizeError(f"duplicate element {cur} in part {elems}")
-            if prev > cur:
+        # one pass: order and duplicates first, range after, as sorted input
+        # can only leave [0, n) at its first or last element
+        mask = 0
+        outside = False
+        prev = elems[0] - 1 if elems else 0
+        for e in elems:
+            if e <= prev:
+                if e == prev:
+                    raise PartSizeError(f"duplicate element {e} in part {elems}")
                 raise ParameterError(f"elements must be sorted ascending, got {elems}")
-        if elems and (elems[0] < 0 or elems[-1] >= self.n):
+            if 0 <= e < n:
+                mask |= 1 << e
+            else:
+                outside = True
+            prev = e
+        if outside:
             bad = elems[0] if elems[0] < 0 else elems[-1]
-            raise ElementRangeError(f"element {bad} outside ground set [0, {self.n})")
-        object.__setattr__(self, "mask", _as_mask(elems))
+            raise ElementRangeError(f"element {bad} outside ground set [0, {n})")
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def of(cls, elements: Iterable[int], n: int) -> "KSubset":
         """Build from an unordered collection, sorting the elements."""
-        return cls(n, tuple(sorted(int(e) for e in elements)))
+        return cls(n, tuple(sorted(map(int, elements))))
 
     def isdisjoint(self, other: "KSubset") -> bool:
         return not (self.mask & other.mask)
@@ -83,6 +97,9 @@ class KSubset:
 
     def __contains__(self, e: int) -> bool:
         return bool(self.mask >> e & 1) if 0 <= e < self.n else False
+
+
+_elements = attrgetter("elements")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,22 +118,22 @@ class STuple:
         parts = tuple(self.parts)
         if not parts:
             raise ParameterError("a word needs at least one part")
-        n, k = parts[0].n, len(parts[0])
+        n, k = parts[0].n, len(parts[0].elements)
         if k < 1:
             raise PartSizeError("parts must have k >= 1 elements")
         union = 0
         for p in parts:
             if p.n != n:
                 raise ParameterError(f"mixed ground sets: {p.n} != {n}")
-            if len(p) != k:
-                raise PartSizeError(f"part {p.elements} has size {len(p)}, expected {k}")
+            if len(p.elements) != k:
+                raise PartSizeError(f"part {p.elements} has size {len(p.elements)}, expected {k}")
             if union & p.mask:
                 shared = union & p.mask
                 raise OverlapError(
                     f"parts overlap on element {shared.bit_length() - 1}"
                 )
             union |= p.mask
-        object.__setattr__(self, "parts", tuple(sorted(parts, key=lambda p: p.elements)))
+        object.__setattr__(self, "parts", tuple(sorted(parts, key=_elements)))
 
     @property
     def n(self) -> int:
@@ -186,9 +203,42 @@ def canonicalize(raw: Iterable[Iterable[int]], n: int, k: int | None = None) -> 
     parts = [KSubset.of(p, n) for p in raw]
     if k is not None:
         for p in parts:
-            if len(p) != k:
-                raise PartSizeError(f"part {p.elements} has size {len(p)}, expected {k}")
+            if len(p.elements) != k:
+                raise PartSizeError(f"part {p.elements} has size {len(p.elements)}, expected {k}")
     return STuple(tuple(parts))
+
+
+def _canonical_words(n: int, rows: np.ndarray) -> list[STuple]:
+    """STuples from an int array of shape (words, s, k), without validation.
+
+    Only for rows canonical by construction: each part strictly increasing
+    and inside [0, n), the parts of a row pairwise disjoint and ordered by
+    their smallest element.  The result equals what `canonicalize` builds
+    from the same rows (same elements as Python ints, same masks, hashes
+    and keys), minus the checks.
+    """
+    _, s, k = rows.shape
+    flat = rows.reshape(-1, k)
+    # gathers from object arrays, so every part reuses the same n int
+    # objects; zipping the k element columns yields each part's tuple
+    columns = np.array(range(n), dtype=object)[flat.T].tolist()
+    masks = np.array([1 << e for e in range(n)], dtype=object)[flat].sum(axis=1).tolist()
+    setattr_ = object.__setattr__
+
+    def part(elements: tuple[int, ...], mask: int) -> KSubset:
+        p = object.__new__(KSubset)
+        setattr_(p, "n", n)
+        setattr_(p, "elements", elements)
+        setattr_(p, "mask", mask)
+        return p
+
+    def word(parts: tuple[KSubset, ...]) -> STuple:
+        w = object.__new__(STuple)
+        setattr_(w, "parts", parts)
+        return w
+
+    parts = list(map(part, zip(*columns), masks))
+    return list(map(word, zip(*(parts[i::s] for i in range(s)))))
 
 
 def word_count(n: int, k: int, s: int = 2) -> int:
@@ -330,8 +380,12 @@ class Code:
                 f"need k, s, d >= 1, got k={self.k}, s={self.s}, d={self.d}"
             )
         if self.q == 0:
+            shape = (self.n, self.k, self.s)
             for w in self.words:
-                if not isinstance(w, STuple) or (w.n, w.k, w.s) != (self.n, self.k, self.s):
+                if (
+                    not isinstance(w, STuple)
+                    or (w.parts[0].n, len(w.parts[0].elements), len(w.parts)) != shape
+                ):
                     raise ParameterError(f"word {w!r} does not match code parameters")
         elif self.q >= 2:
             if self.s == 1:

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import Code, ParameterError, STuple, canonicalize
+import numpy as np
+
+from .core import Code, ParameterError, PartSizeError, STuple, _canonical_words, canonicalize
 
 
 def circular_distance(a: int, b: int, m: int) -> int:
@@ -111,19 +113,14 @@ def is_antagonistic(g: CyclicGeneratorPair) -> AntagonismReport:
     return AntagonismReport(True)
 
 
-def canonical_generator_form(g: CyclicGeneratorPair) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Least representative of g's orbit under rotation, reflection, and swap.
-
-    Some rotation puts 0 in the first set, and a first set holding 0 sorts
-    below any without it, so the least representative has 0 as the smallest
-    element of its first set.  Only the k rotations sending an element of
-    the first set to 0 are tried per (sign, order): 4k candidates, not 4m.
-    """
-    m = g.m
+def _canonical_form(
+    m: int, s_set: tuple[int, ...], t_set: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """canonical_generator_form on a raw (m, S, T), with no validation."""
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for sign in (1, -1):
-        s0 = [sign * x % m for x in g.s_set]
-        t0 = [sign * x % m for x in g.t_set]
+        s0 = [sign * x % m for x in s_set]
+        t0 = [sign * x % m for x in t_set]
         for first, second in ((s0, t0), (t0, s0)):
             for pivot in first:
                 cand = (
@@ -134,6 +131,17 @@ def canonical_generator_form(g: CyclicGeneratorPair) -> tuple[tuple[int, ...], t
                     best = cand
     assert best is not None
     return best
+
+
+def canonical_generator_form(g: CyclicGeneratorPair) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Least representative of g's orbit under rotation, reflection, and swap.
+
+    Some rotation puts 0 in the first set, and a first set holding 0 sorts
+    below any without it, so the least representative has 0 as the smallest
+    element of its first set.  Only the k rotations sending an element of
+    the first set to 0 are tried per (sign, order): 4k candidates, not 4m.
+    """
+    return _canonical_form(g.m, g.s_set, g.t_set)
 
 
 def generators_equivalent(g1: CyclicGeneratorPair, g2: CyclicGeneratorPair) -> bool:
@@ -301,8 +309,7 @@ def search_antagonistic(
         nodes += 1
         s, t = node[0], node[1]
         if len(t) == k:
-            pair = CyclicGeneratorPair(m, s, t)
-            canon = canonical_generator_form(pair)
+            canon = _canonical_form(m, s, t)
             if canon not in found:
                 found[canon] = CyclicGeneratorPair(m, canon[0], canon[1])
                 if limit is not None and len(found) >= limit:
@@ -326,6 +333,18 @@ def search_antagonistic(
     return AntagonisticSearch(pairs, exhausted=not stopped, nodes=nodes, frontier=frontier)
 
 
+def _orbit_rows(parts: Sequence[Sequence[int]], m: int) -> np.ndarray:
+    """The m translates of one word's parts, as canonical rows (m, s, k).
+
+    Each translated part is sorted, then the parts of each row are ordered
+    by their smallest element; disjoint parts stay disjoint mod m.
+    """
+    base = np.array(parts, dtype=np.intp)
+    rows = np.sort((base + np.arange(m, dtype=np.intp)[:, None, None]) % m, axis=2)
+    order = np.argsort(rows[:, :, 0], axis=1)
+    return np.take_along_axis(rows, order[:, :, None], axis=1)
+
+
 def orbit_code(g: CyclicGeneratorPair) -> Code:
     """The m translates {S+u, T+u} as a code with claimed distance 2k-1.
 
@@ -338,12 +357,7 @@ def orbit_code(g: CyclicGeneratorPair) -> Code:
             f"generator pair is not antagonistic (condition {report.condition}: {report.detail})"
         )
     m, k = g.m, g.k
-    words = frozenset(
-        canonicalize(
-            (((x + u) % m for x in g.s_set), ((x + u) % m for x in g.t_set)), m, k
-        )
-        for u in range(m)
-    )
+    words = frozenset(_canonical_words(m, _orbit_rows((g.s_set, g.t_set), m)))
     if len(words) != m:
         raise ParameterError("orbit collapsed; generator pair is degenerate")
     return Code(n=m, k=k, s=2, q=0, d=2 * k - 1, words=words)
@@ -371,11 +385,9 @@ def multi_orbit_code(m: int, generators: Sequence[STuple | Iterable[Iterable[int
     k = gens[0].k
     orbits: list[frozenset[STuple]] = []
     for gen in gens:
-        orbit = frozenset(
-            canonicalize([[(x + u) % m for x in part.elements] for part in gen.parts], m, k)
-            for u in range(m)
-        )
-        orbits.append(orbit)
+        if gen.k != k:
+            raise PartSizeError(f"generator {gen._key()} has parts of size {gen.k}, expected {k}")
+        orbits.append(frozenset(_canonical_words(m, _orbit_rows(gen._key(), m))))
     words: set[STuple] = set()
     for i, orbit in enumerate(orbits):
         clash = words & orbit

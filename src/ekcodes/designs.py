@@ -12,12 +12,15 @@ import json
 import math
 import random
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 from typing import Mapping
 
-from .core import Code, ParameterError, STuple, canonicalize
+import numpy as np
+
+from .core import Code, ParameterError, STuple, _canonical_words
 
 _VERIFY_T_SUBSET_CAP = 5_000_000
 _GREEDY_BLOCK_CAP = 2_000_000
@@ -61,7 +64,12 @@ def verify_design(design: BlockDesign) -> DesignVerification:
     """Exhaustively count t-subset coverage and label the block family.
 
     Refuses point sets whose C(v, t) exceeds the desk-scale cap rather
-    than sampling.
+    than sampling.  Each t-subset of each block, taken in block order and
+    then in combinations order, becomes its colex rank (an int below
+    C(v, t)); one stable sort finds every repeat.  The certificate of an
+    invalid family is the t-subset whose second occurrence comes first,
+    with the number of distinct t-subsets seen before it.  A repeat must
+    occur among the first C(v, t) + 1 t-subsets, so no more are ranked.
     """
     v, t = design.v, design.t
     total = math.comb(v, t)
@@ -69,14 +77,39 @@ def verify_design(design: BlockDesign) -> DesignVerification:
         raise ParameterError(
             f"C({v},{t}) = {total} t-subsets exceeds the verification cap {_VERIFY_T_SUBSET_CAP}"
         )
-    seen: set[tuple[int, ...]] = set()
-    for block in design.blocks:
-        for sub in combinations(block, t):
-            if sub in seen:
-                return DesignVerification("invalid", violation=sub, covered=len(seen))
-            seen.add(sub)
-    label = "design" if len(seen) == total else "packing"
-    return DesignVerification(label, covered=len(seen))
+    blocks = design.blocks
+    starts = [0]
+    for block in blocks:
+        if starts[-1] > total:
+            break
+        starts.append(starts[-1] + math.comb(len(block), t))
+    used = len(starts) - 1
+    ranks = np.empty(starts[-1], dtype=np.int64)
+    # rank of a sorted t-subset x: sum over i of C(x_i, i + 1); position i
+    # holds only x in [i, v - t + i], where every term is below C(v, t)
+    table = np.zeros((v, t), dtype=np.int64)
+    for i in range(t):
+        table[i : v - t + i + 1, i] = [math.comb(x, i + 1) for x in range(i, v - t + i + 1)]
+    by_size: dict[int, list[int]] = {}
+    for index in range(used):
+        by_size.setdefault(len(blocks[index]), []).append(index)
+    for size, indices in by_size.items():
+        if size < t:
+            continue
+        combos = np.array(list(combinations(range(size), t)), dtype=np.intp)
+        subsets = np.array([blocks[i] for i in indices], dtype=np.intp)[:, combos]
+        positions = np.array([starts[i] for i in indices])[:, None] + np.arange(len(combos))
+        ranks[positions] = table[subsets, np.arange(t)].sum(axis=2)
+    order = np.argsort(ranks, kind="stable")
+    ordered = ranks[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        first = int(repeats.min())
+        index = bisect_right(starts, first) - 1
+        sub = next(islice(combinations(blocks[index], t), first - starts[index], None))
+        return DesignVerification("invalid", violation=sub, covered=first)
+    label = "design" if len(ranks) == total else "packing"
+    return DesignVerification(label, covered=len(ranks))
 
 
 def _is_prime(p: int) -> bool:
@@ -214,6 +247,14 @@ def compose_code(
     Blocks with no matching base code contribute nothing (a warning is
     emitted).  The embedding maps base point i to the block's i-th
     smallest point, so outputs are reproducible.
+
+    Blocks are grouped by size and each group maps every base word at
+    once, as one numpy gather `blocks[:, base_rows]`.  Blocks are sorted
+    and the map is monotone, so each image part stays sorted, the part
+    order is kept, and the rows go straight to the trusted constructor
+    `core._canonical_words`.  Words from different blocks share at most
+    2k-d points, so the one final length check below fails only on a
+    real fault.
     """
     t = 2 * k - d + 1
     if design.t != t:
@@ -233,22 +274,24 @@ def compose_code(
             raise ParameterError(f"base code on {size} points is unverified; verify it first")
         if vmd < d:
             raise ParameterError(f"base code on {size} points has verified distance {vmd} < {d}")
-    words: set[STuple] = set()
+    groups: dict[int, list[tuple[int, ...]]] = {}
     for block in design.blocks:
-        base = bases.get(len(block))
-        if base is None:
+        if len(block) in bases:
+            groups.setdefault(len(block), []).append(block)
+        else:
             warnings.warn(
                 f"no base code for block size {len(block)}; block skipped",
                 stacklevel=2,
             )
-            continue
-        for word in base.words:
-            mapped = canonicalize(
-                [[block[e] for e in part.elements] for part in word.parts], design.v, k
-            )
-            if mapped in words:  # blocks share < 2k points, so this cannot happen
-                raise ParameterError(f"duplicate embedded word {mapped._key()}")
-            words.add(mapped)
+    words: set[STuple] = set()
+    embedded = 0
+    for size, blocks in groups.items():
+        base_rows = np.array([w._key() for w in bases[size].words], dtype=np.intp).reshape(-1, 2, k)
+        rows = np.array(blocks, dtype=np.intp)[:, base_rows].reshape(-1, 2, k)
+        words.update(_canonical_words(design.v, rows))
+        embedded += len(rows)
+    if len(words) != embedded:
+        raise ParameterError(f"{embedded - len(words)} embedded words duplicate others")
     return Code(n=design.v, k=k, s=2, q=0, d=d, words=frozenset(words))
 
 

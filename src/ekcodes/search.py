@@ -29,10 +29,10 @@ from . import _greedy_fast
 from .bounds import asymptotic_constant, upper_bound
 from .core import (
     Code,
-    KSubset,
     ParameterError,
     QaryWord,
     STuple,
+    _canonical_words,
     enumerate_qary_words,
     enumerate_words,
     qary_word_count,
@@ -280,7 +280,8 @@ def greedy_code(
         if size > max_universe:
             raise ParameterError(f"universe exceeds {max_universe} words")
         rows = _greedy_fast.greedy_pairs_by_distance(n, k, d, seed)
-    words = frozenset(STuple((KSubset(n, a), KSubset(n, b))) for a, b in rows)
+    # stream rows are canonical: each part sorted, first part the smaller
+    words = frozenset(_canonical_words(n, np.array(rows, dtype=np.intp).reshape(-1, 2, k)))
     return Code(n, k, 2, 0, d, words)
 
 
