@@ -1,13 +1,13 @@
-"""Seeded pair-greedy engine for 2-part set-world universes.
+"""Seeded greedy engine: one permuted word stream, one distance rule.
 
-The word stream is a seeded permutation of all ordered (A, B) index pairs;
-the copy with min(A) > min(B) is dropped, which leaves each unordered word
-exactly once in permuted order.  Every pair greedy reads this one stream,
-under one of two rules that accept the same words: greedy_pairs encodes
-witnesses as integers into a dense claim array and screens slices of words
-with numpy gathers; greedy_pairs_by_distance compares bitmasks with the
-accepted words and needs no key space.  Every word of the universe is
-examined, so the output is maximal.
+Every greedy reads its universe once, in the seeded order of
+_permuted_chunks.  Pairs stream all ordered (A, B) index pairs and drop
+the copy with min(A) > min(B), which leaves each unordered word once;
+s-tuples (s != 2) and q-ary words permute their enumerated universe.
+greedy_by_distance accepts a row of incidence ids iff it keeps distance
+>= d to every accepted row; for pairs, greedy_pairs accepts the same
+words by claiming witnesses as integer keys in a dense array.  Every word
+is examined, so the output is maximal.
 
 Universes beyond the in-memory shuffle cap are permuted by a Feistel
 network on the index space (images >= M are skipped, which still visits
@@ -23,13 +23,12 @@ from itertools import combinations
 import numpy as np
 
 from .core import ParameterError, word_count
-from .metric import witness_splits
+from .metric import _min_cost_matching, witness_splits
 
 SHUFFLE_CAP = 1 << 22
 SPACE_CAP = 1 << 26
 STREAM_CAP = 1 << 30
 _CHUNK = 1 << 20
-_MASK_SLICE = 4096
 
 
 def applicable(n: int, k: int, d: int) -> bool:
@@ -201,21 +200,23 @@ def greedy_pairs(n: int, k: int, d: int, seed: int, chunk: int = _CHUNK):
     return accepted
 
 
-def greedy_pairs_by_distance(n: int, k: int, d: int, seed: int):
-    """Distance-rule greedy over the same stream; returns accepted rows.
+def greedy_by_distance(chunks, s: int, limit: int) -> list[list[int]]:
+    """Distance-rule greedy over chunks of incidence rows, in stream order.
 
-    A word is accepted iff no accepted word matches more than 2k - d of its
-    elements, i.e. it keeps distance >= d to every accepted word.
+    A row is s parts of w distinct ids, as search._incidence_rows builds
+    them.  It is accepted iff its best part matching with every accepted
+    row shares at most `limit` = s*w - d ids: max(straight, crossed) at
+    s = 2; otherwise the shared ids of the two unions, which decide s = 1,
+    and above `limit` the Hungarian matching.  Returns the accepted rows.
     """
-    limit = 2 * k - d
-    masks: list[tuple[int, int]] = []
-    accepted: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for a_cols, b_cols in _stream_words(n, k, seed):
-        for lo in range(0, len(a_cols[0]), _MASK_SLICE):
-            part = slice(lo, lo + _MASK_SLICE)
-            for a, b in zip(_rows(a_cols, part), _rows(b_cols, part)):
-                a1 = sum(1 << e for e in a)
-                a2 = sum(1 << e for e in b)
+    masks: list = []
+    accepted: list[list[int]] = []
+    for rows in chunks:
+        bits = np.array([1 << e for e in range(int(rows.max()) + 1)], dtype=object)
+        parts = bits[rows].reshape(len(rows), s, -1).sum(axis=2)
+        hits = []
+        if s == 2:
+            for i, (a1, a2) in enumerate(parts.tolist()):
                 for b1, b2 in masks:
                     straight = (a1 & b1).bit_count() + (a2 & b2).bit_count()
                     crossed = (a1 & b2).bit_count() + (a2 & b1).bit_count()
@@ -223,5 +224,16 @@ def greedy_pairs_by_distance(n: int, k: int, d: int, seed: int):
                         break
                 else:
                     masks.append((a1, a2))
-                    accepted.append((a, b))
+                    hits.append(i)
+        else:
+            for i, (union, a) in enumerate(zip(parts.sum(axis=1).tolist(), parts.tolist())):
+                for other_union, b in masks:
+                    if (union & other_union).bit_count() > limit and (
+                        s == 1 or -_min_cost_matching([[-(x & y).bit_count() for y in b] for x in a]) > limit
+                    ):
+                        break
+                else:
+                    masks.append((union, a))
+                    hits.append(i)
+        accepted.extend(rows[hits].tolist())
     return accepted

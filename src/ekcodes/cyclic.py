@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -116,21 +117,28 @@ def is_antagonistic(g: CyclicGeneratorPair) -> AntagonismReport:
 def _canonical_form(
     m: int, s_set: tuple[int, ...], t_set: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """canonical_generator_form on a raw (m, S, T), with no validation."""
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    """canonical_generator_form on a raw (m, S, T), with no validation.
+
+    With each set sorted once per sign, the image of x -> x - pivot (mod m)
+    is a window of the set and its lift by m.
+    """
+    best: tuple[list[int], list[int]] | None = None
     for sign in (1, -1):
-        s0 = [sign * x % m for x in s_set]
-        t0 = [sign * x % m for x in t_set]
+        s0 = sorted(sign * x % m for x in s_set)
+        t0 = sorted(sign * x % m for x in t_set)
         for first, second in ((s0, t0), (t0, s0)):
-            for pivot in first:
-                cand = (
-                    tuple(sorted((x - pivot) % m for x in first)),
-                    tuple(sorted((x - pivot) % m for x in second)),
-                )
+            ring = first + [x + m for x in first]
+            ring2 = second + [x + m for x in second]
+            for i, pivot in enumerate(first):
+                head = [x - pivot for x in ring[i : i + len(first)]]
+                if best is not None and head > best[0]:
+                    continue
+                j = bisect_left(second, pivot)
+                cand = (head, [x - pivot for x in ring2[j : j + len(second)]])
                 if best is None or cand < best:
                     best = cand
     assert best is not None
-    return best
+    return tuple(best[0]), tuple(best[1])
 
 
 def canonical_generator_form(g: CyclicGeneratorPair) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -41,39 +41,39 @@ def pair_distance(p: STuple, q: STuple) -> int:
     return 2 * p.k - max(straight, crossed)
 
 
-def _move_cost_matrix(x: STuple, y: STuple) -> list[list[int]]:
-    k = x.k
-    return [
-        [k - (xp.mask & yp.mask).bit_count() for yp in y.parts]
-        for xp in x.parts
-    ]
-
-
 def tuple_distance(x: STuple, y: STuple, method: str = "auto") -> int:
     """Transportation distance between two s-part words.
 
     The cost of moving part i of x onto part j of y is k minus their common
     elements; the distance is the cheapest perfect matching of parts.
     "auto" (or "assignment") finds it exactly, in O(s^3), by the Hungarian
-    method with shortest augmenting paths: each part of x in turn joins the
-    matching along the cheapest path of reduced costs cost[i][j] - u[i] -
-    v[j] from a virtual column 0, and the potentials u, v keep every
-    reduced cost nonnegative, so -v[0] ends as the cheapest total.
+    method with shortest augmenting paths (`_min_cost_matching`).
     method="permutation" minimizes over all s! matchings (the oracle,
     s <= 8).  Both methods are exact and agree.
     """
     _check_same_world(x, y)
     s = x.s
-    cost = _move_cost_matrix(x, y)
+    cost = [[x.k - (xp.mask & yp.mask).bit_count() for yp in y.parts] for xp in x.parts]
     if method == "permutation":
         if s > _PERMUTATION_LIMIT:
             raise ParameterError(f"permutation method limited to s <= {_PERMUTATION_LIMIT}")
         return min(sum(cost[i][perm[i]] for i in range(s)) for perm in permutations(range(s)))
     if method not in ("auto", "assignment"):
         raise ParameterError(f"unknown method {method!r}")
+    return _min_cost_matching(cost)
+
+
+def _min_cost_matching(cost: list[list[int]]) -> int:
+    """Cheapest perfect matching of a square cost matrix (Hungarian method).
+
+    Each row in turn joins along the cheapest path of reduced costs
+    cost[i][j] - u[i] - v[j] from a virtual column 0; the potentials keep
+    them nonnegative, so -v[0] ends as the cheapest total.
+    """
+    s = len(cost)
     u = [0] * (s + 1)
     v = [0] * (s + 1)
-    match = [0] * (s + 1)  # part of x (1-based) held by each column; column 0 is the root
+    match = [0] * (s + 1)  # row (1-based) held by each column; column 0 is the root
     way = [0] * (s + 1)
     for i in range(1, s + 1):
         match[0] = i
@@ -171,5 +171,6 @@ def witness_set(p: STuple, d: int) -> frozenset[WitnessPair]:
 
 
 def words_conflict(p: STuple, q: STuple, d: int) -> bool:
-    """True iff p and q share a witness, i.e. pair_distance(p, q) <= d - 1."""
-    return bool(witness_set(p, d) & witness_set(q, d))
+    """True iff pair_distance(p, q) <= d - 1, i.e. p and q share a witness."""
+    witness_splits(p.k, d)  # ParameterError unless 1 <= d <= 2k
+    return pair_distance(p, q) <= d - 1

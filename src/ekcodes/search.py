@@ -5,10 +5,11 @@ with one numpy kernel.  Each word becomes a row of incidence ids: a set
 word's part elements, a q-ary word's support positions i followed by
 n + i*q + symbol, and a q-ary pair's two words in turn; only pairs of
 words that share an id are examined, and only those that could be the
-closest get an exact part matching.  min_distance_at_least is the
-equivalent witness-overlap route for 2-part set-world codes.
-greedy_code builds a maximal code from a seeded random permutation of
-the word universe.  exact_max_code is a
+closest get an exact part matching.  min_distance_at_least is a thin
+threshold test over verify_code for 2-part set-world codes.
+greedy_code builds a maximal code by reading a seeded permutation of the
+word universe, as incidence rows of the same kind, through one distance
+rule (`_greedy_fast`).  exact_max_code is a
 branch-and-bound clique search over the compatibility graph, which it
 builds from shared witness keys; exhaustive_max_code, a plain enumeration
 over a graph built by comparing every pair of words, is kept alongside as
@@ -18,7 +19,6 @@ an independent oracle.
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass
 from itertools import chain
@@ -38,7 +38,6 @@ from .core import (
     qary_word_count,
     word_count,
 )
-from .metric import qary_distance, tuple_distance, witness_set
 
 _PAIR_TILE = 1 << 13
 _SEQUENTIAL_UNIVERSE_CAP = 2_000_000
@@ -160,7 +159,7 @@ def _best_common(rows: np.ndarray, s: int) -> int:
     return best
 
 
-def _incidence_rows(code: Code, words: list) -> np.ndarray:
+def _incidence_rows(words: list, n: int, k: int, s: int, q: int) -> np.ndarray:
     """Each word as one row of distinct incidence ids, s parts of equal width.
 
     A set-world part lists its elements.  A weight-k q-ary word lists its
@@ -168,14 +167,14 @@ def _incidence_rows(code: Code, words: list) -> np.ndarray:
     |supp u & supp v| + |{i : u_i = v_i != 0}| = 2k - d_H(u, v) ids; a
     q-ary pair lists u's ids and then v's.
     """
-    if code.q == 0:
+    if q == 0:
         elements = chain.from_iterable([part.elements for w in words for part in w.parts])
-        return np.fromiter(elements, dtype=np.int32).reshape(len(words), -1)
-    members = [(w,) if code.s == 1 else (w.u, w.v) for w in words]
-    symbols = np.array([[m.symbols for m in ms] for ms in members], dtype=np.int32)
-    support = np.nonzero(symbols)[2].reshape(len(words), code.s, code.k).astype(np.int32)
+        return np.fromiter(elements, dtype=np.int32).reshape(len(words), s * k)
+    members = [(w,) if s == 1 else (w.u, w.v) for w in words]
+    symbols = np.array([[m.symbols for m in ms] for ms in members], dtype=np.int32).reshape(len(words), s, n)
+    support = np.nonzero(symbols)[2].reshape(len(words), s, k).astype(np.int32)
     values = np.take_along_axis(symbols, support, axis=2)
-    return np.concatenate([support, code.n + support * code.q + values], axis=2).reshape(len(words), -1)
+    return np.concatenate([support, n + support * q + values], axis=2).reshape(len(words), 2 * s * k)
 
 
 def verify_code(code: Code) -> int | float:
@@ -192,43 +191,17 @@ def verify_code(code: Code) -> int | float:
     if len(words) < 2:
         code.verified_min_distance = math.inf
         return math.inf
-    rows = _incidence_rows(code, words)
+    rows = _incidence_rows(words, code.n, code.k, code.s, code.q)
     minimum = rows.shape[1] - _best_common(rows, code.s)
     code.verified_min_distance = minimum
     return minimum
 
 
 def min_distance_at_least(code: Code, d: int) -> bool:
-    """Witness route: min distance >= d iff no two words share a witness."""
+    """verify_code(code) >= d for 2-part set-world codes; stores the minimum as verify_code does."""
     if code.q != 0 or code.s != 2:
         raise ParameterError("witness check applies to 2-part set-world codes")
-    claimed: set = set()
-    for word in sorted(code.words):
-        wits = witness_set(word, d)
-        if not claimed.isdisjoint(wits):
-            return False
-        claimed |= wits
-    return True
-
-
-def _greedy_tuples(n: int, k: int, d: int, s: int, seed: int) -> frozenset[STuple]:
-    universe = list(enumerate_words(n, k, s))
-    random.Random(seed).shuffle(universe)
-    accepted: list[STuple] = []
-    for word in universe:
-        if all(tuple_distance(word, other) >= d for other in accepted):
-            accepted.append(word)
-    return frozenset(accepted)
-
-
-def _greedy_qary(n: int, k: int, d: int, q: int, seed: int) -> frozenset[QaryWord]:
-    universe = list(enumerate_qary_words(n, k, q))
-    random.Random(seed).shuffle(universe)
-    accepted: list[QaryWord] = []
-    for word in universe:
-        if all(qary_distance(word, other) >= d for other in accepted):
-            accepted.append(word)
-    return frozenset(accepted)
+    return verify_code(code) >= d
 
 
 def greedy_code(
@@ -244,45 +217,49 @@ def greedy_code(
 ) -> Code:
     """Seeded random-permutation greedy; the output is maximal.
 
-    Set-world pairs read one seeded word stream (`_greedy_fast`) and accept
-    a word iff none of its witnesses is already claimed, equivalently iff
-    it keeps distance >= d to every accepted word; the two acceptance
-    rules coincide word for word.  mode forces "witness" or "distance"
-    acceptance for pairs; "auto" uses the witness rule.  The witness rule
-    needs dense key arrays; where they do not fit, the distance rule runs.
-    s-tuple and q-ary modes use the direct distance rule over a shuffled
-    universe.  The distance rule refuses universes above `max_universe`
-    words.  s defaults to 2 in the set world and to 1 (single words) for
-    q-ary alphabets.
+    Every kind of word reads one seeded stream (`_greedy_fast`) and keeps a
+    word iff it has distance >= d to every word kept before it.  Set-world
+    pairs stream the ordered index pairs; s-tuples (s != 2) and q-ary words
+    permute their enumerated universe.  Pairs can also be accepted by the
+    witness rule (a word is kept iff none of its witnesses is already
+    claimed), which keeps the same words: mode forces "witness" or
+    "distance", and "auto" uses the witness rule where its dense key arrays
+    fit and the distance rule elsewhere.  The distance rule refuses
+    universes above `max_universe` words.  s defaults to 2 in the set world
+    and to 1 (single words) for q-ary alphabets.
     """
     if mode not in ("auto", "witness", "distance"):
         raise ParameterError(f"unknown mode {mode!r}")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     if s is None:
         s = 1 if q else 2
-    if q:
-        if s != 1:
-            raise ParameterError("q-ary greedy builds single-word codes (s=1)")
-        if not 1 <= d <= 2 * k:
-            raise ParameterError(f"need 1 <= d <= 2k, got d={d}")
-        if qary_word_count(n, k, q) > max_universe:
-            raise ParameterError(f"universe exceeds {max_universe} words")
-        return Code(n, k, 1, q, d, _greedy_qary(n, k, d, q, seed))
-    if not 1 <= d <= s * k:
-        raise ParameterError(f"need 1 <= d <= s*k, got d={d}")
-    size = word_count(n, k, s)
-    if s != 2:
-        if size > max_universe:
-            raise ParameterError(f"universe exceeds {max_universe} words")
-        return Code(n, k, s, 0, d, _greedy_tuples(n, k, d, s, seed))
-    if mode != "distance" and _greedy_fast.applicable(n, k, d):
+    if q and s != 1:
+        raise ParameterError("q-ary greedy builds single-word codes (s=1)")
+    width = 2 * k if q else s * k
+    if not 1 <= d <= width:
+        raise ParameterError(f"need 1 <= d <= {'2k' if q else 's*k'} = {width}, got d={d}")
+    size = qary_word_count(n, k, q) if q else word_count(n, k, s)
+    if not q and s == 2 and mode != "distance" and _greedy_fast.applicable(n, k, d):
         rows = _greedy_fast.greedy_pairs(n, k, d, seed)
     else:
         if size > max_universe:
             raise ParameterError(f"universe exceeds {max_universe} words")
-        rows = _greedy_fast.greedy_pairs_by_distance(n, k, d, seed)
-    # stream rows are canonical: each part sorted, first part the smaller
-    words = frozenset(_canonical_words(n, np.array(rows, dtype=np.intp).reshape(-1, 2, k)))
-    return Code(n, k, 2, 0, d, words)
+        if not q and s == 2:
+            stream = (np.column_stack(a + b) for a, b in _greedy_fast._stream_words(n, k, seed))
+        else:
+            universe = list(enumerate_qary_words(n, k, q) if q else enumerate_words(n, k, s))
+            table = _incidence_rows(universe, n, k, s, q)
+            stream = (table[ids] for ids in _greedy_fast._permuted_chunks(size, seed, _greedy_fast._CHUNK))
+        rows = _greedy_fast.greedy_by_distance(stream, s, width - d)
+    rows = np.array(rows, dtype=np.intp).reshape(-1, width)
+    if q:  # invert _incidence_rows: support positions i, then n + i*q + symbol
+        symbols = np.zeros((len(rows), n), dtype=np.int64)
+        np.put_along_axis(symbols, rows[:, :k], rows[:, k:] - n - rows[:, :k] * q, axis=1)
+        words = [QaryWord(n, q, tuple(row)) for row in symbols.tolist()]
+    else:  # canonical rows: each part sorted, parts ordered by their first element
+        words = _canonical_words(n, rows.reshape(-1, s, k))
+    return Code(n, k, s, q, d, frozenset(words))
 
 
 @dataclass

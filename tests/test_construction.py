@@ -182,7 +182,8 @@ def test_greedy_pairs_match_canonicalize(n, k, d, mode):
     if mode == "witness" and _greedy_fast.applicable(n, k, d):
         rows = _greedy_fast.greedy_pairs(n, k, d, 7)
     else:
-        rows = _greedy_fast.greedy_pairs_by_distance(n, k, d, 7)
+        stream = (np.column_stack(a + b) for a, b in _greedy_fast._stream_words(n, k, 7))
+        rows = [(row[:k], row[k:]) for row in _greedy_fast.greedy_by_distance(stream, 2, 2 * k - d)]
     reference = {canonicalize([a, b], n, k) for a, b in rows}
     assert len(reference) == len(rows)
     _assert_same_words(code, reference)

@@ -244,6 +244,20 @@ def test_conflict_iff_distance_below_d_small_exhaustive(d):
             assert words_conflict(words[i], words[j], d) == close
 
 
+def test_words_conflict_rejects_bad_parameters():
+    word = canonicalize([(0, 1), (2, 3)], 6)
+    for d in (0, 5):
+        with pytest.raises(ParameterError):
+            words_conflict(word, word, d)
+    triple = canonicalize([(0, 1), (2, 3), (4, 5)], 6)
+    with pytest.raises(ParameterError):
+        words_conflict(triple, triple, 2)
+    # mismatched worlds: another ground set, another part size
+    for other in (canonicalize([(0, 1), (2, 3)], 7), canonicalize([(0,), (2,)], 6)):
+        with pytest.raises(ParameterError):
+            words_conflict(word, other, 2)
+
+
 def test_witness_set_rejects_bad_d():
     word = canonicalize([(0, 1), (2, 3)], 6)
     for d in (0, 5):

@@ -25,11 +25,13 @@ from ekcodes import (
     pair_distance,
     qary_distance,
     qary_pair_distance,
+    qary_word_count,
     ratio_experiment,
     tuple_distance,
     upper_bound,
     verify_code,
     witness_set,
+    word_count,
 )
 from ekcodes import _greedy_fast, search
 
@@ -217,6 +219,17 @@ def test_verify_qary_code():
     assert verify_code(code) == brute == 1
 
 
+def _no_shared_witness(code, d):
+    """Oracle: min distance >= d iff no two words share a witness."""
+    claimed: set = set()
+    for word in sorted(code.words):
+        wits = witness_set(word, d)
+        if not claimed.isdisjoint(wits):
+            return False
+        claimed |= wits
+    return True
+
+
 def test_witness_route_agrees_with_all_pairs():
     rng = random.Random(17)
     for _ in range(30):
@@ -225,7 +238,7 @@ def test_witness_route_agrees_with_all_pairs():
         code = Code(n, 2, 2, 0, 1, frozenset(words))
         minimum = verify_code(code)
         for d in range(1, 5):
-            assert min_distance_at_least(code, d) == (minimum >= d)
+            assert min_distance_at_least(code, d) == (minimum >= d) == _no_shared_witness(code, d)
 
 
 def test_greedy_witness_and_distance_modes_identical():
@@ -315,6 +328,58 @@ def test_greedy_matches_sequential_stream_oracle(n, k, d, seed):
     assert greedy_code(n, k, d, seed, mode="distance").words == expected
 
 
+def _stream_distance_greedy(universe, distance, d, seed, chunk=_greedy_fast._CHUNK):
+    """Oracle: walk the universe in _permuted_chunks order, one distance call per pair."""
+    accepted = []
+    for ids in _greedy_fast._permuted_chunks(len(universe), seed, chunk):
+        for i in ids.tolist():
+            word = universe[i]
+            if all(distance(word, other) >= d for other in accepted):
+                accepted.append(word)
+    return frozenset(accepted)
+
+
+def _tuple_and_qary_draws(count, seed):
+    # k = 1, d = 1 and d = s*k (2k for q-ary) among the fixed draws
+    draws = [(6, 1, 1, 3, 0, 4), (9, 1, 3, 3, 0, 5), (8, 2, 6, 3, 0, 6), (9, 2, 8, 4, 0, 7), (11, 2, 10, 5, 0, 8)]
+    draws += [(5, 1, 1, 1, 2, 4), (6, 1, 2, 1, 3, 5), (6, 2, 4, 1, 4, 6), (7, 3, 1, 1, 3, 7), (3, 4, 2, 1, 3, 9)]
+    rng = random.Random(seed)
+    while len(draws) < count:
+        s, q = rng.choice([(3, 0), (4, 0), (5, 0), (1, 2), (1, 3), (1, 4)])
+        k = rng.randint(1, 3 if s == 1 else 2)
+        n = rng.randint(s * k if q == 0 else k, s * k + 4)
+        width = 2 * k if q else s * k
+        if (qary_word_count(n, k, q) if q else word_count(n, k, s)) <= 1_500:
+            draws.append((n, k, rng.randint(1, width), s, q, rng.randint(0, 10**6)))
+    return draws
+
+
+@pytest.mark.parametrize("n,k,d,s,q,seed", _tuple_and_qary_draws(40, 47))
+def test_greedy_tuples_and_qary_match_per_pair_oracle(n, k, d, s, q, seed):
+    distance = qary_distance if q else tuple_distance
+    universe = list(enumerate_qary_words(n, k, q) if q else enumerate_words(n, k, s))
+    code = greedy_code(n, k, d, seed, s=s, q=q)
+    assert code.words == _stream_distance_greedy(universe, distance, d, seed)
+    assert verify_code(code) >= d
+    # maximal: every word left out is closer than d to a kept one
+    for word in universe:
+        if word not in code.words:
+            assert any(distance(word, other) < d for other in code.words)
+
+
+def test_greedy_by_distance_independent_of_chunk():
+    for n, k, d, seed in ((9, 2, 3, 4), (10, 2, 4, 11), (7, 1, 2, 5)):
+        universe = list(enumerate_words(n, k, 3))
+        table = search._incidence_rows(universe, n, k, 3, 0)
+        runs = []
+        for chunk in (1, 7, _greedy_fast._CHUNK):
+            stream = (table[ids] for ids in _greedy_fast._permuted_chunks(len(table), seed, chunk))
+            runs.append(_greedy_fast.greedy_by_distance(stream, 3, 3 * k - d))
+        assert runs[0] == runs[1] == runs[2]
+        expected = _stream_distance_greedy(universe, tuple_distance, d, seed, chunk=7)
+        assert greedy_code(n, k, d, seed, s=3).words == expected
+
+
 def test_greedy_pairs_independent_of_chunk():
     for n, k, d, seed in ((12, 2, 3, 9), (9, 3, 4, 2), (9, 1, 2, 5)):
         rows = _greedy_fast.greedy_pairs(n, k, d, seed)
@@ -369,6 +434,12 @@ def test_greedy_deterministic():
     a = greedy_code(12, 2, 3, seed=9)
     b = greedy_code(12, 2, 3, seed=9)
     assert a.words == b.words
+
+
+def test_greedy_rejects_negative_seed():
+    for kwargs in ({}, {"s": 3}, {"q": 3}):
+        with pytest.raises(ParameterError, match="seed"):
+            greedy_code(9, 2, 3, seed=-1, **kwargs)
 
 
 def test_greedy_universe_cap():
