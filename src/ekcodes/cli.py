@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 One executable exposes every operation; outputs are byte-identical across
-identical invocations in json/csv modes.  Exit codes: 0 success, 1 invalid
-input or parameters, 2 a verification failed, 3 a search exhausted or ran
-out of budget without a find/optimum.
+identical invocations in json/csv modes.  Each command, and each action of
+`antagonistic` and `design`, declares exactly the flags it reads; flags
+follow the action.  Exit codes: 0 success, 1 invalid input or parameters
+(a missing or unknown flag included), 2 a verification failed, 3 a search
+exhausted or ran out of budget without a find/optimum.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .designs import (
     zero_sum_quadruples,
 )
 from .metric import pair_distance, qary_distance, qary_pair_distance, tuple_distance
-from .search import exact_max_code, greedy_code, ratio_experiment, verify_code
+from .search import _DEFAULT_WORD_CEILING, exact_max_code, greedy_code, ratio_experiment, verify_code
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -130,53 +132,58 @@ def _emit(
             print(f"{key}: {_format_value(value)}")
 
 
-def _cmd_dist(args, fmt: str) -> int:
+def _cmd_dist(args) -> int:
     parts_a = _parse_parts(args.a)
     parts_b = _parse_parts(args.b)
     if args.q:
-        if len(parts_a) == 1:
-            dist = qary_distance(
-                QaryWord(args.n, args.q, tuple(parts_a[0])),
-                QaryWord(args.n, args.q, tuple(parts_b[0])),
+        if len(parts_a) != len(parts_b) or len(parts_a) > 2:
+            raise ParameterError(
+                f"q-ary words need the same number of rows, 1 or 2; got {len(parts_a)} and {len(parts_b)}"
             )
-        else:
-            dist = qary_pair_distance(
-                QaryPairWord(*(QaryWord(args.n, args.q, tuple(p)) for p in parts_a)),
-                QaryPairWord(*(QaryWord(args.n, args.q, tuple(p)) for p in parts_b)),
-            )
+        x, y = ([QaryWord(args.n, args.q, tuple(row)) for row in parts] for parts in (parts_a, parts_b))
+        dist = qary_distance(x[0], y[0]) if len(x) == 1 else qary_pair_distance(QaryPairWord(*x), QaryPairWord(*y))
     else:
         x = canonicalize(parts_a, args.n, args.k)
         y = canonicalize(parts_b, args.n, args.k)
         dist = pair_distance(x, y) if x.s == 2 else tuple_distance(x, y)
-    _emit({"distance": dist}, fmt)
+    _emit({"distance": dist}, args.format)
     return EXIT_OK
 
 
-def _cmd_verify(args, fmt: str) -> int:
-    code = load_code(args.file)
-    minimum = verify_code(code)
-    shown = "inf" if math.isinf(minimum) else minimum
+def _emit_verified(code, args, *, shape: bool = False) -> int:
+    """Write `code` to --out if asked, then report its verified minimum distance against its claim.
+
+    `shape` adds the code's s and q to the report, as `verify` prints them.
+    """
+    if args.out:
+        save_code(code, args.out)
+    minimum = code.verified_min_distance
     ok = minimum >= code.d
     _emit(
         {
             "n": code.n,
             "k": code.k,
-            "s": code.s,
-            "q": code.q,
+            **({"s": code.s, "q": code.q} if shape else {}),
             "claimed_d": code.d,
             "size": len(code),
-            "min_distance": shown,
+            "min_distance": "inf" if math.isinf(minimum) else minimum,
             "meets_claim": ok,
         },
-        fmt,
+        args.format,
     )
-    if args.out:
-        save_code(code, args.out)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_bound(args, fmt: str) -> int:
+def _cmd_verify(args) -> int:
+    code = load_code(args.file)
+    verify_code(code)
+    return _emit_verified(code, args, shape=True)
+
+
+def _cmd_bound(args) -> int:
     if args.t is not None:
+        if (args.d, args.u, args.v) != (None, None, None):
+            raise ParameterError("--t selects the packing bound, which takes no --d, --u or --v")
         report = packing_bound(args.n, args.k, args.t)
     elif args.u is not None or args.v is not None:
         if args.u is None or args.v is None:
@@ -194,191 +201,148 @@ def _cmd_bound(args, fmt: str) -> int:
             "kind": report.kind,
             "realizing_split": "none" if split is None else f"{split[0]},{split[1]}",
         },
-        fmt,
+        args.format,
     )
     return EXIT_OK
 
 
-def _cmd_known(args, fmt: str) -> int:
+def _cmd_known(args) -> int:
     report = known_value(args.n, args.k, args.d)
-    if report is None:
-        _emit({"known": False}, fmt)
-        return EXIT_OK
     _emit(
-        {"known": True, "exact": report.exact_value, "floor": report.floor_value, "kind": report.kind},
-        fmt,
+        {"known": False}
+        if report is None
+        else {"known": True, "exact": report.exact_value, "floor": report.floor_value, "kind": report.kind},
+        args.format,
     )
     return EXIT_OK
 
 
-def _cmd_antagonistic(args, fmt: str, seed: int | None) -> int:
-    if args.action == "check":
-        pair = CyclicGeneratorPair(args.m, tuple(_parse_elements(args.s)), tuple(_parse_elements(args.t)))
-        report = is_antagonistic(pair)
-        _emit(
-            {
-                "m": args.m,
-                "k": pair.k,
-                "antagonistic": report.ok,
-                "condition": report.condition or "none",
-                "detail": report.detail or "none",
-            },
-            fmt,
-        )
-        return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
-    if args.action == "search":
-        result = search_antagonistic(
-            args.k,
-            args.m,
-            limit=args.limit,
-            seed=seed,
-            node_budget=args.node_budget,
-            wall_budget_s=args.budget_seconds,
-            checkpoint=args.checkpoint,
-        )
-        rows = [
-            {
-                "m": args.m,
-                "S": ",".join(map(str, p.s_set)),
-                "T": ",".join(map(str, p.t_set)),
-            }
-            for p in result.pairs
-        ]
-        summary = {
-            "found": len(result.pairs),
-            "exhausted": result.exhausted,
-            "nodes": result.nodes,
-            "frontier": len(result.frontier),
-        }
-        if fmt == "csv":
-            _emit(rows, fmt, seed=seed, columns=["m", "S", "T"])
-        else:
-            _emit(rows + [summary], fmt, seed=seed)
-        if fmt == "csv":
-            print(
-                f"found: {summary['found']} exhausted: {summary['exhausted']} nodes: {summary['nodes']}",
-                file=sys.stderr,
-            )
-        return EXIT_OK if result.pairs else EXIT_NO_FIND
-    # orbit
-    pair = CyclicGeneratorPair(args.m, tuple(_parse_elements(args.s)), tuple(_parse_elements(args.t)))
-    code = orbit_code(pair)
-    if args.out:
-        save_code(code, args.out)
-    _emit({"n": code.n, "k": code.k, "claimed_d": code.d, "size": len(code)}, fmt)
-    return EXIT_OK
+def _generator_pair(args) -> CyclicGeneratorPair:
+    return CyclicGeneratorPair(args.m, tuple(_parse_elements(args.s)), tuple(_parse_elements(args.t)))
 
 
-def _cmd_multi_orbit(args, fmt: str) -> int:
-    generators = [_parse_parts(g) for g in args.generator]
-    code = multi_orbit_code(args.m, generators, args.d)
-    ok = code.verified_min_distance >= args.d
-    if args.out:
-        save_code(code, args.out)
+def _cmd_check(args) -> int:
+    pair = _generator_pair(args)
+    report = is_antagonistic(pair)
     _emit(
         {
-            "n": code.n,
-            "k": code.k,
-            "claimed_d": code.d,
-            "size": len(code),
-            "min_distance": code.verified_min_distance,
-            "meets_claim": ok,
+            "m": args.m,
+            "k": pair.k,
+            "antagonistic": report.ok,
+            "condition": report.condition or "none",
+            "detail": report.detail or "none",
         },
-        fmt,
+        args.format,
     )
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_design(args, fmt: str, seed: int | None) -> int:
-    if args.action == "affine":
-        design = affine_plane(args.p)
-    elif args.action == "sqs":
-        design = zero_sum_quadruples(args.r)
-    elif args.action == "pds":
-        found = planar_difference_set(args.q)
-        if found is None:
-            _emit({"q": args.q, "found": False}, fmt)
-            return EXIT_NO_FIND
-        m = args.q * args.q + args.q + 1
-        if args.develop:
-            design = develop_difference_set(found, m)
-            if args.out:
-                save_design(design, args.out)
-            _emit(
-                {"q": args.q, "found": True, "set": ",".join(map(str, found)), "m": m, "blocks": len(design.blocks)},
-                fmt,
-            )
-            return EXIT_OK
-        _emit({"q": args.q, "found": True, "set": ",".join(map(str, found)), "m": m}, fmt)
-        return EXIT_OK
-    elif args.action == "develop":
-        design = develop_difference_set(_parse_elements(args.set), args.m)
-    elif args.action == "greedy-pack":
-        design = greedy_packing(args.v, args.p, args.t, seed if seed is not None else 0)
-    else:  # verify
-        design = load_design(args.file)
-        verdict = verify_design(design)
-        _emit(
-            {
-                "v": design.v,
-                "t": design.t,
-                "blocks": len(design.blocks),
-                "label": verdict.label,
-                "violation": "none" if verdict.violation is None else ",".join(map(str, verdict.violation)),
-            },
-            fmt,
+def _cmd_search(args) -> int:
+    result = search_antagonistic(
+        args.k,
+        args.m,
+        limit=args.limit,
+        node_budget=args.node_budget,
+        wall_budget_s=args.budget_seconds,
+        checkpoint=args.checkpoint,
+    )
+    rows = [{"m": args.m, "S": ",".join(map(str, p.s_set)), "T": ",".join(map(str, p.t_set))} for p in result.pairs]
+    summary = {
+        "found": len(result.pairs),
+        "exhausted": result.exhausted,
+        "nodes": result.nodes,
+        "frontier": len(result.frontier),
+    }
+    if args.format == "csv":
+        _emit(rows, "csv", columns=["m", "S", "T"])
+        print(
+            f"found: {summary['found']} exhausted: {summary['exhausted']} nodes: {summary['nodes']}",
+            file=sys.stderr,
         )
-        return EXIT_OK if verdict.label != "invalid" else EXIT_VERIFY_FAILED
-    if args.out:
-        save_design(design, args.out)
-    payload = {"v": design.v, "t": design.t, "blocks": len(design.blocks)}
-    if args.action == "greedy-pack":
-        _emit(payload, fmt, seed=seed if seed is not None else 0)
     else:
-        _emit(payload, fmt)
+        _emit(rows + [summary], args.format)
+    return EXIT_OK if result.pairs else EXIT_NO_FIND
+
+
+def _cmd_orbit(args) -> int:
+    code = orbit_code(_generator_pair(args))
+    if args.out:
+        save_code(code, args.out)
+    _emit({"n": code.n, "k": code.k, "claimed_d": code.d, "size": len(code)}, args.format)
     return EXIT_OK
 
 
-def _cmd_compose(args, fmt: str) -> int:
+def _cmd_multi_orbit(args) -> int:
+    generators = [_parse_parts(g) for g in args.generator]
+    return _emit_verified(multi_orbit_code(args.m, generators, args.d), args)
+
+
+def _emit_design(design, args, seed: int | None = None) -> int:
+    if args.out:
+        save_design(design, args.out)
+    _emit({"v": design.v, "t": design.t, "blocks": len(design.blocks)}, args.format, seed=seed)
+    return EXIT_OK
+
+
+def _cmd_pds(args) -> int:
+    found = planar_difference_set(args.q)
+    if found is None:
+        _emit({"q": args.q, "found": False}, args.format)
+        return EXIT_NO_FIND
+    m = args.q * args.q + args.q + 1
+    report = {"q": args.q, "found": True, "set": ",".join(map(str, found)), "m": m}
+    if args.develop:
+        design = develop_difference_set(found, m)
+        if args.out:
+            save_design(design, args.out)
+        report["blocks"] = len(design.blocks)
+    _emit(report, args.format)
+    return EXIT_OK
+
+
+def _cmd_design_verify(args) -> int:
+    design = load_design(args.file)
+    verdict = verify_design(design)
+    _emit(
+        {
+            "v": design.v,
+            "t": design.t,
+            "blocks": len(design.blocks),
+            "label": verdict.label,
+            "violation": "none" if verdict.violation is None else ",".join(map(str, verdict.violation)),
+        },
+        args.format,
+    )
+    return EXIT_OK if verdict.label != "invalid" else EXIT_VERIFY_FAILED
+
+
+def _cmd_compose(args) -> int:
     design = load_design(args.design)
     bases = {}
     for path in args.base:
         code = load_code(path)
-        if code.verified_min_distance is None:
-            verify_code(code)
+        if code.n in bases:
+            raise ParameterError(f"--base {path} repeats a base code on {code.n} points")
+        verify_code(code)  # a distance stored in the file is a claim, not a certificate
         bases[code.n] = code
     composed = compose_code(design, bases, args.k, args.d)
-    minimum = verify_code(composed)
-    ok = minimum >= args.d
-    if args.out:
-        save_code(composed, args.out)
-    _emit(
-        {
-            "n": composed.n,
-            "k": composed.k,
-            "claimed_d": composed.d,
-            "size": len(composed),
-            "min_distance": "inf" if math.isinf(minimum) else minimum,
-            "meets_claim": ok,
-        },
-        fmt,
-    )
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    verify_code(composed)
+    return _emit_verified(composed, args)
 
 
-def _cmd_greedy(args, fmt: str, seed: int) -> int:
-    code = greedy_code(args.n, args.k, args.d, seed, s=args.s, q=args.q, mode=args.mode)
+def _cmd_greedy(args) -> int:
+    code = greedy_code(args.n, args.k, args.d, args.seed, s=args.s, q=args.q)
     if args.out:
         save_code(code, args.out)
     _emit(
         {"n": args.n, "k": args.k, "d": args.d, "s": code.s, "q": args.q, "size": len(code)},
-        fmt,
-        seed=seed,
+        args.format,
+        seed=args.seed,
     )
     return EXIT_OK
 
 
-def _cmd_exact(args, fmt: str) -> int:
+def _cmd_exact(args) -> int:
     report = exact_max_code(
         args.n,
         args.k,
@@ -398,105 +362,132 @@ def _cmd_exact(args, fmt: str) -> int:
             "optimal": report.optimal,
             "nodes": report.nodes_explored,
         },
-        fmt,
+        args.format,
     )
     return EXIT_OK if report.optimal else EXIT_NO_FIND
 
 
-def _cmd_ratio(args, fmt: str, seed: int) -> int:
-    n_list = _parse_elements(args.n_list)
-    rows = ratio_experiment(args.k, args.d, n_list, seed, repetitions=args.repetitions)
+def _cmd_ratio(args) -> int:
+    rows = ratio_experiment(args.k, args.d, _parse_elements(args.n_list), args.seed, repetitions=args.repetitions)
     ordered = [{key: row[key] for key in _RATIO_COLUMNS} for row in rows]
-    _emit(ordered, fmt, seed=seed, columns=_RATIO_COLUMNS)
+    _emit(ordered, args.format, seed=args.seed, columns=_RATIO_COLUMNS)
     return EXIT_OK
+
+
+def _flag_parser(*flags: str, **options) -> _Parser:
+    """A parent parser holding `flags`, each added with the same `options`."""
+    parent = _Parser(add_help=False)
+    for flag in flags:
+        parent.add_argument(flag, **options)
+    return parent
 
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The CLI parser, built once per process and reused by in-process calls."""
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized commands (default 0)")
-    common.add_argument("--budget-seconds", type=float, default=None)
-    common.add_argument("--out", type=Path, default=None, help="write the produced artifact here")
+    """The CLI parser, built once per process and reused by in-process calls.
+
+    Each command, and each action of `antagonistic` and `design`, is a leaf
+    parser that declares exactly the flags its handler reads and binds that
+    handler as `run`.  Shared flags come from parent parsers attached to the
+    leaves only: a leaf's defaults overwrite whatever its enclosing parser
+    parsed, so a flag given before the action would be silently lost.
+    """
+    fmt = _flag_parser("--format", choices=("text", "json", "csv"), default="text")
+    n = _flag_parser("--n", type=int, required=True)
+    kd = _flag_parser("--k", "--d", type=int, required=True)
+    m = _flag_parser("--m", type=int, required=True, help="modulus")
+    st = _flag_parser("--s", "--t", required=True, help="residues of S or T, e.g. 1,8")
+    out = _flag_parser("--out", type=Path, default=None, help="write the produced artifact here")
+    seed = _flag_parser("--seed", type=int, default=0, help="seed of the randomized construction (default 0)")
+    budget = _flag_parser("--budget-seconds", type=float, default=None, help="wall-clock budget")
 
     parser = _Parser(prog="ekcodes", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dist", parents=[common], help="distance between two words")
-    p.add_argument("--n", type=int, required=True)
+    def leaf(group, name: str, run, summary: str, *parents: _Parser) -> _Parser:
+        p = group.add_parser(name, parents=[fmt, *parents], help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    p = leaf(commands, "dist", _cmd_dist, "distance between two words", n)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--q", type=int, default=0)
     p.add_argument("--a", required=True, help='word, e.g. "1,8|2,3"')
     p.add_argument("--b", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="verify a code file")
+    p = leaf(commands, "verify", _cmd_verify, "verify a code file", out)
     p.add_argument("file", type=Path)
 
-    p = sub.add_parser("bound", parents=[common], help="upper bounds (and packing bound via --t)")
-    p.add_argument("--n", type=int, required=True)
+    p = leaf(commands, "bound", _cmd_bound, "upper bounds (and packing bound via --t)", n)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--u", type=int, default=None)
     p.add_argument("--v", type=int, default=None)
     p.add_argument("--t", type=int, default=None, help="packing bound P(n, k, t) instead")
 
-    p = sub.add_parser("known", parents=[common], help="known exact value, if any")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    leaf(commands, "known", _cmd_known, "known exact value, if any", n, kd)
 
-    p = sub.add_parser("antagonistic", parents=[common], help="cyclic generator pairs")
-    p.add_argument("action", choices=("check", "search", "orbit"))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", help="residues of S, e.g. 1,8")
-    p.add_argument("--t", help="residues of T, e.g. 2,3")
-    p.add_argument("--k", type=int, default=None, help="set size (search)")
+    actions = commands.add_parser("antagonistic", help="cyclic generator pairs").add_subparsers(
+        dest="action", required=True
+    )
+    leaf(actions, "check", _cmd_check, "is (S, T) an antagonistic pair", m, st)
+    leaf(actions, "orbit", _cmd_orbit, "the orbit code of (S, T)", m, st, out)
+    p = leaf(actions, "search", _cmd_search, "search for antagonistic pairs", m, budget)
+    p.add_argument("--k", type=int, required=True, help="set size")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--checkpoint", type=Path, default=None)
 
-    p = sub.add_parser("multi-orbit", parents=[common], help="union of cyclic orbits, fully verified")
-    p.add_argument("--m", type=int, required=True)
+    p = leaf(commands, "multi-orbit", _cmd_multi_orbit, "union of cyclic orbits, fully verified", m, out)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--generator", action="append", required=True, help='word, e.g. "0,7|2,6" (repeatable)')
 
-    p = sub.add_parser("design", parents=[common], help="block designs and packings")
-    p.add_argument("action", choices=("affine", "sqs", "pds", "develop", "greedy-pack", "verify"))
-    p.add_argument("--p", type=int, default=None, help="prime order (affine) / block size (greedy-pack)")
-    p.add_argument("--r", type=int, default=None, help="dimension (sqs)")
-    p.add_argument("--q", type=int, default=None, help="plane order (pds)")
+    actions = commands.add_parser("design", help="block designs and packings").add_subparsers(
+        dest="action", required=True
+    )
+    p = leaf(actions, "affine", lambda a: _emit_design(affine_plane(a.p), a), "affine plane of prime order", out)
+    p.add_argument("--p", type=int, required=True, help="prime order")
+    p = leaf(actions, "sqs", lambda a: _emit_design(zero_sum_quadruples(a.r), a), "zero-sum quadruple system", out)
+    p.add_argument("--r", type=int, required=True, help="dimension")
+    p = leaf(actions, "pds", _cmd_pds, "planar difference set", out)
+    p.add_argument("--q", type=int, required=True, help="plane order")
     p.add_argument("--develop", action="store_true", help="develop the found difference set")
-    p.add_argument("--set", default=None, help="difference set residues (develop)")
-    p.add_argument("--m", type=int, default=None, help="modulus (develop)")
-    p.add_argument("--v", type=int, default=None, help="point count (greedy-pack)")
-    p.add_argument("--t", type=int, default=None, help="strength (greedy-pack)")
-    p.add_argument("file", nargs="?", type=Path, default=None, help="design file (verify)")
+    p = leaf(
+        actions,
+        "develop",
+        lambda a: _emit_design(develop_difference_set(_parse_elements(a.set), a.m), a),
+        "develop a difference set",
+        m,
+        out,
+    )
+    p.add_argument("--set", required=True, help="difference set residues")
+    p = leaf(
+        actions,
+        "greedy-pack",
+        lambda a: _emit_design(greedy_packing(a.v, a.p, a.t, a.seed), a, seed=a.seed),
+        "seeded greedy packing",
+        out,
+        seed,
+    )
+    p.add_argument("--v", type=int, required=True, help="point count")
+    p.add_argument("--p", type=int, required=True, help="block size")
+    p.add_argument("--t", type=int, required=True, help="strength")
+    p = leaf(actions, "verify", _cmd_design_verify, "verify a design file")
+    p.add_argument("file", type=Path)
 
-    p = sub.add_parser("compose", parents=[common], help="compose base codes over a packing")
+    p = leaf(commands, "compose", _cmd_compose, "compose base codes over a packing", kd, out)
     p.add_argument("--design", type=Path, required=True)
     p.add_argument("--base", action="append", required=True, type=Path, help="base code file (repeatable)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
 
-    p = sub.add_parser("greedy", parents=[common], help="seeded randomized greedy code")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = leaf(commands, "greedy", _cmd_greedy, "seeded randomized greedy code", n, kd, out, seed)
     p.add_argument("--s", type=int, default=None, help="parts per word (default 2; q-ary default 1)")
     p.add_argument("--q", type=int, default=0)
-    p.add_argument("--mode", choices=("auto", "witness", "distance"), default="auto")
 
-    p = sub.add_parser("exact", parents=[common], help="exact maximum code (branch and bound)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = leaf(commands, "exact", _cmd_exact, "exact maximum code (branch and bound)", n, kd, out, budget)
     p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--word-ceiling", type=int, default=5000)
+    p.add_argument("--word-ceiling", type=int, default=_DEFAULT_WORD_CEILING)
 
-    p = sub.add_parser("ratio", parents=[common], help="greedy-vs-bound table")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = leaf(commands, "ratio", _cmd_ratio, "greedy-vs-bound table", kd, seed)
     p.add_argument("--n-list", required=True, help="comma-separated n values")
     p.add_argument("--repetitions", type=int, default=1)
 
@@ -505,58 +496,11 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    fmt = args.format
-    seed = args.seed
     try:
-        if args.command == "dist":
-            return _cmd_dist(args, fmt)
-        if args.command == "verify":
-            return _cmd_verify(args, fmt)
-        if args.command == "bound":
-            return _cmd_bound(args, fmt)
-        if args.command == "known":
-            return _cmd_known(args, fmt)
-        if args.command == "antagonistic":
-            if args.action == "search" and args.k is None:
-                raise ParameterError("antagonistic search needs --k")
-            if args.action in ("check", "orbit") and (args.s is None or args.t is None):
-                raise ParameterError(f"antagonistic {args.action} needs --s and --t")
-            return _cmd_antagonistic(args, fmt, seed)
-        if args.command == "multi-orbit":
-            return _cmd_multi_orbit(args, fmt)
-        if args.command == "design":
-            _require_design_args(args)
-            return _cmd_design(args, fmt, seed)
-        if args.command == "compose":
-            return _cmd_compose(args, fmt)
-        if args.command == "greedy":
-            return _cmd_greedy(args, fmt, seed if seed is not None else 0)
-        if args.command == "exact":
-            return _cmd_exact(args, fmt)
-        if args.command == "ratio":
-            return _cmd_ratio(args, fmt, seed if seed is not None else 0)
-        raise ParameterError(f"unknown command {args.command!r}")
-    except ParameterError as exc:
+        return args.run(args)
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-
-def _require_design_args(args) -> None:
-    needed = {
-        "affine": ("p",),
-        "sqs": ("r",),
-        "pds": ("q",),
-        "develop": ("set", "m"),
-        "greedy-pack": ("v", "p", "t"),
-        "verify": ("file",),
-    }[args.action]
-    for name in needed:
-        if getattr(args, name) is None:
-            raise ParameterError(f"design {args.action} needs --{name.replace('_', '-')}"
-                                 if name != "file" else "design verify needs a file argument")
 
 
 if __name__ == "__main__":

@@ -249,7 +249,6 @@ def search_antagonistic(
     k: int,
     m: int,
     limit: int | None = None,
-    seed: int | None = None,
     *,
     node_budget: int | None = None,
     wall_budget_s: float | None = None,
@@ -260,9 +259,9 @@ def search_antagonistic(
     Rotation is broken by fixing min(S) = 0; reflection and swap are
     removed by emitting only canonical representatives.  The tree is
     traversed depth first with element candidates in increasing order, so
-    runs are deterministic; `seed` is accepted for interface uniformity
-    but plays no role.  The exhaustion flag is set only when the whole
-    symmetry-reduced tree was traversed (no limit or budget stop).
+    runs are deterministic and take no seed.  The exhaustion flag is set
+    only when the whole symmetry-reduced tree was traversed (no limit or
+    budget stop).
 
     When `checkpoint` names an existing nonempty file, the search resumes
     from the partial assignments listed there: a {"k", "m"} header line,
@@ -271,7 +270,6 @@ def search_antagonistic(
     unexplored frontier is written back to it through a temporary file
     and an atomic rename; an exhausted search leaves it empty.
     """
-    del seed  # traversal is deterministic by design
     if k < 1:
         raise ParameterError(f"need k >= 1, got k={k}")
     if 2 * k > m:

@@ -40,7 +40,7 @@ from .core import (
 )
 
 _PAIR_TILE = 1 << 13
-_SEQUENTIAL_UNIVERSE_CAP = 2_000_000
+_DISTANCE_UNIVERSE_CAP = 2_000_000
 _DEFAULT_WORD_CEILING = 5_000
 
 
@@ -213,7 +213,6 @@ def greedy_code(
     s: int | None = None,
     q: int = 0,
     mode: str = "auto",
-    max_universe: int = _SEQUENTIAL_UNIVERSE_CAP,
 ) -> Code:
     """Seeded random-permutation greedy; the output is maximal.
 
@@ -225,8 +224,8 @@ def greedy_code(
     claimed), which keeps the same words: mode forces "witness" or
     "distance", and "auto" uses the witness rule where its dense key arrays
     fit and the distance rule elsewhere.  The distance rule refuses
-    universes above `max_universe` words.  s defaults to 2 in the set world
-    and to 1 (single words) for q-ary alphabets.
+    universes above `_DISTANCE_UNIVERSE_CAP` words.  s defaults to 2 in the
+    set world and to 1 (single words) for q-ary alphabets.
     """
     if mode not in ("auto", "witness", "distance"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -243,8 +242,8 @@ def greedy_code(
     if not q and s == 2 and mode != "distance" and _greedy_fast.applicable(n, k, d):
         rows = _greedy_fast.greedy_pairs(n, k, d, seed)
     else:
-        if size > max_universe:
-            raise ParameterError(f"universe exceeds {max_universe} words")
+        if size > _DISTANCE_UNIVERSE_CAP:
+            raise ParameterError(f"universe exceeds {_DISTANCE_UNIVERSE_CAP} words")
         if not q and s == 2:
             stream = (np.column_stack(a + b) for a, b in _greedy_fast._stream_words(n, k, seed))
         else:

@@ -444,7 +444,7 @@ def test_greedy_rejects_negative_seed():
 
 def test_greedy_universe_cap():
     with pytest.raises(ParameterError):
-        greedy_code(40, 3, 5, seed=0, mode="distance", max_universe=1000)
+        greedy_code(40, 3, 5, seed=0, mode="distance")
 
 
 @pytest.mark.parametrize(
