@@ -9,7 +9,8 @@ closest get an exact part matching.  min_distance_at_least is a thin
 threshold test over verify_code for 2-part set-world codes.
 greedy_code builds a maximal code by reading a seeded permutation of the
 word universe, as incidence rows of the same kind, through one distance
-rule (`_greedy_fast`).  exact_max_code is a
+rule (`_greedy_fast`); s-tuple and q-ary universes are built as rows
+directly, without word objects.  exact_max_code is a
 branch-and-bound clique search over the compatibility graph, which it
 builds from shared witness keys; exhaustive_max_code, a plain enumeration
 over a graph built by comparing every pair of words, is kept alongside as
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .core import (
     QaryWord,
     STuple,
     _canonical_words,
-    enumerate_qary_words,
     enumerate_words,
     qary_word_count,
     word_count,
@@ -177,6 +177,34 @@ def _incidence_rows(words: list, n: int, k: int, s: int, q: int) -> np.ndarray:
     return np.concatenate([support, n + support * q + values], axis=2).reshape(len(words), 2 * s * k)
 
 
+def _universe_rows(n: int, k: int, s: int, q: int) -> np.ndarray:
+    """Incidence rows of every word of a universe, in enumeration order.
+
+    Row for row equal to _incidence_rows over enumerate_words(n, k, s)
+    (q = 0) or enumerate_qary_words(n, k, q) (s = 1), built from
+    combinations and products of ints without a word object.  Degenerate
+    parameters (s*k > n, or k > n for q-ary words) give zero rows.
+    """
+    if q:
+        support = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.int32).reshape(-1, k)
+        values = np.fromiter(chain.from_iterable(product(range(1, q), repeat=k)), dtype=np.int32).reshape(-1, k)
+        support, values = np.repeat(support, len(values), axis=0), np.tile(values, (len(support), 1))
+        return np.concatenate([support, n + support * q + values], axis=1)
+
+    def extend(prefix: tuple[int, ...], remaining: list[int]):
+        # parts are ordered by their minima: later parts use only elements above this one's first
+        if len(prefix) == s * k:
+            yield prefix
+            return
+        if len(remaining) < s * k - len(prefix):
+            return
+        for combo in combinations(remaining, k):
+            yield from extend(prefix + combo, [e for e in remaining if e > combo[0] and e not in combo])
+
+    rows = chain.from_iterable(extend((), list(range(n))))
+    return np.fromiter(rows, dtype=np.int32).reshape(-1, s * k)
+
+
 def verify_code(code: Code) -> int | float:
     """Exact minimum pairwise distance; stored on the code as a side effect.
 
@@ -219,13 +247,16 @@ def greedy_code(
     Every kind of word reads one seeded stream (`_greedy_fast`) and keeps a
     word iff it has distance >= d to every word kept before it.  Set-world
     pairs stream the ordered index pairs; s-tuples (s != 2) and q-ary words
-    permute their enumerated universe.  Pairs can also be accepted by the
-    witness rule (a word is kept iff none of its witnesses is already
-    claimed), which keeps the same words: mode forces "witness" or
-    "distance", and "auto" uses the witness rule where its dense key arrays
-    fit and the distance rule elsewhere.  The distance rule refuses
-    universes above `_DISTANCE_UNIVERSE_CAP` words.  s defaults to 2 in the
-    set world and to 1 (single words) for q-ary alphabets.
+    permute their universe's incidence rows (`_universe_rows`).  Pairs can
+    also be accepted by the witness rule (a word is kept iff none of its
+    witnesses is already claimed), which keeps the same words: mode forces
+    "witness" or "distance", and "auto" uses the witness rule where its
+    dense key arrays fit and the distance rule elsewhere.  The witness rule
+    exists only for set-world pairs, so mode="witness" raises for any other
+    kind.  The distance rule refuses universes above
+    `_DISTANCE_UNIVERSE_CAP` words.  s defaults to 2 in the set world and
+    to 1 (single words) for q-ary alphabets.  Degenerate parameters give
+    an empty code.
     """
     if mode not in ("auto", "witness", "distance"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -235,6 +266,8 @@ def greedy_code(
         s = 1 if q else 2
     if q and s != 1:
         raise ParameterError("q-ary greedy builds single-word codes (s=1)")
+    if mode == "witness" and (q or s != 2):
+        raise ParameterError("the witness rule applies only to set-world pairs (s=2, q=0)")
     width = 2 * k if q else s * k
     if not 1 <= d <= width:
         raise ParameterError(f"need 1 <= d <= {'2k' if q else 's*k'} = {width}, got d={d}")
@@ -247,8 +280,7 @@ def greedy_code(
         if not q and s == 2:
             stream = (np.column_stack(a + b) for a, b in _greedy_fast._stream_words(n, k, seed))
         else:
-            universe = list(enumerate_qary_words(n, k, q) if q else enumerate_words(n, k, s))
-            table = _incidence_rows(universe, n, k, s, q)
+            table = _universe_rows(n, k, s, q)
             stream = (table[ids] for ids in _greedy_fast._permuted_chunks(size, seed, _greedy_fast._CHUNK))
         rows = _greedy_fast.greedy_by_distance(stream, s, width - d)
     rows = np.array(rows, dtype=np.intp).reshape(-1, width)

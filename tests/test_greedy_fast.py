@@ -1,0 +1,215 @@
+"""Differential tests of the greedy engine's stream, Feistel permutation and matching bounds.
+
+Each fast path is checked against a plain oracle: the
+stream against unrank -> lift -> drop the mirrored copies, the Feistel
+chunks against four full-domain rounds followed by the `< m` filter, the
+bounded matching against the Hungarian method and the permutation
+oracle, and the direct universe rows against the rows of enumerated
+word objects.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import threading
+import warnings
+from itertools import permutations
+
+import numpy as np
+import pytest
+
+from ekcodes import _greedy_fast, search
+from ekcodes.core import enumerate_qary_words, enumerate_words, word_count
+from ekcodes.metric import _min_cost_matching
+from ekcodes.search import greedy_code
+
+
+def _feistel32(values, nbits, keys):
+    """Oracle: four balanced rounds over whole uint32 blocks."""
+    half = nbits // 2
+    hmask = np.uint32((1 << half) - 1)
+    left = (values >> np.uint32(half)).astype(np.uint32)
+    right = (values & hmask).astype(np.uint32)
+    for key in keys:
+        mix = right * np.uint32(2654435761) + key
+        mix ^= mix >> np.uint32(15)
+        mix *= np.uint32(0x846CA68B)
+        mix ^= mix >> np.uint32(13)
+        left, right = right, left ^ (mix & hmask)
+    return (left.astype(np.uint64) << np.uint64(half)) | right
+
+
+def _feistel_chunks(m, seed, chunk):
+    """Oracle: every domain block through all four rounds, then `vals < m`."""
+    rng = np.random.default_rng(seed)
+    nbits = max(2, m.bit_length())
+    nbits += nbits % 2
+    keys = rng.integers(0, 2**31, size=4, dtype=np.uint32)
+    for lo in range(0, 1 << nbits, chunk):
+        block = np.arange(lo, min(lo + chunk, 1 << nbits), dtype=np.uint32)
+        vals = _feistel32(block, nbits, keys)
+        vals = vals[vals < m]
+        if vals.size:
+            yield vals
+
+
+def _stream_oracle(n, k, seed, chunk):
+    """Oracle: unrank and lift every index, then drop the mirrored copies with c[keep].
+
+    Returns the yielded chunks and the number of chunks in which no word was kept.
+    """
+    n_second = math.comb(n - k, k)
+    m = math.comb(n, k) * n_second
+    lex_a = _greedy_fast._lex_columns(n, k)
+    lex_b = _greedy_fast._lex_columns(n - k, k)
+    chunks, empty = [], 0
+    for ids in _greedy_fast._permuted_chunks(m, seed, chunk):
+        idx_a, idx_b = np.divmod(ids.astype(np.int64), np.int64(n_second))
+        a_cols = [col[idx_a] for col in lex_a]
+        b_cols = [col[idx_b] for col in lex_b]
+        for aj in a_cols:
+            for i in range(k):
+                b_cols[i] = b_cols[i] + (b_cols[i] >= aj)
+        keep = a_cols[0] < b_cols[0]
+        if not keep.any():
+            empty += 1
+            continue
+        chunks.append(([c[keep] for c in a_cols], [c[keep] for c in b_cols]))
+    return chunks, empty
+
+
+def _stream_cases():
+    for k in (1, 2, 3):
+        for n in (2 * k, 2 * k + 1, 12):
+            chunks = (1, 7, 300, _greedy_fast._CHUNK) if n < 12 or k == 1 else (7, 300, _greedy_fast._CHUNK)
+            for chunk in chunks:
+                for cap in (_greedy_fast.SHUFFLE_CAP, 8):
+                    yield n, k, chunk, cap
+
+
+@pytest.mark.parametrize("n,k,chunk,cap", list(_stream_cases()))
+def test_stream_matches_unrank_lift_keep_oracle(monkeypatch, n, k, chunk, cap):
+    # cap 8 forces the Feistel branch, since _permuted_chunks reads SHUFFLE_CAP at call time
+    monkeypatch.setattr(_greedy_fast, "SHUFFLE_CAP", cap)
+    seed = 100 * n + k
+    expected, empty = _stream_oracle(n, k, seed, chunk)
+    got = list(_greedy_fast._stream_words(n, k, seed, chunk))
+    assert len(got) == len(expected)
+    for (a_cols, b_cols), (a_ref, b_ref) in zip(got, expected):
+        for col, ref in zip(a_cols + b_cols, a_ref + b_ref):
+            assert col.dtype == ref.dtype
+            np.testing.assert_array_equal(col, ref)
+    if chunk == 1:
+        assert empty  # a one-index chunk holding a mirrored copy keeps no word
+    assert sum(len(a[0]) for a, _ in got) == word_count(n, k, 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 1000, 4099])
+def test_feistel_chunks_match_full_domain_oracle(monkeypatch, m):
+    monkeypatch.setattr(_greedy_fast, "SHUFFLE_CAP", 1)
+    for seed, chunk in ((0, 5), (3, 64), (11, _greedy_fast._CHUNK)):
+        got = list(_greedy_fast._permuted_chunks(m, seed, chunk))
+        expected = list(_feistel_chunks(m, seed, chunk))
+        assert len(got) == len(expected)
+        for vals, ref in zip(got, expected):
+            assert vals.dtype == np.int64
+            np.testing.assert_array_equal(vals, ref)
+        flat = np.concatenate(got)
+        np.testing.assert_array_equal(np.sort(flat), np.arange(m))
+
+
+def test_feistel_helper_thread_keeps_streams_apart(monkeypatch):
+    monkeypatch.setattr(_greedy_fast, "SHUFFLE_CAP", 1)
+    alone = [np.concatenate(list(_greedy_fast._permuted_chunks(4099, seed, 97))) for seed in (1, 2)]
+    first = _greedy_fast._permuted_chunks(4099, 1, 97)
+    second = _greedy_fast._permuted_chunks(4099, 2, 97)
+    runs: tuple[list, list] = ([], [])
+    for a, b in zip(first, second):
+        runs[0].append(a)
+        runs[1].append(b)
+    runs[0].extend(first)
+    runs[1].extend(second)
+    for run, ref in zip(runs, alone):
+        np.testing.assert_array_equal(np.concatenate(run), ref)
+
+
+def test_feistel_helper_thread_ends_with_the_stream(monkeypatch):
+    monkeypatch.setattr(_greedy_fast, "SHUFFLE_CAP", 1)
+    before = threading.active_count()
+    for _ in _greedy_fast._permuted_chunks(1 << 20, 5, 1 << 12):
+        break
+    assert threading.active_count() == before
+    stream = _greedy_fast._permuted_chunks(1 << 20, 5, 1 << 12)
+    next(stream)
+    assert threading.active_count() == before + 1
+    stream.close()
+    assert threading.active_count() == before
+    list(_greedy_fast._permuted_chunks(4099, 5, 1000))
+    assert threading.active_count() == before
+
+
+def _random_common(rng, s):
+    """An s x s common-count matrix of two random s-part words, and the words' part masks."""
+    width = rng.randint(1, 4)
+    n = rng.randint(s * width, s * width + 6)
+    a = rng.sample(range(n), s * width)
+    b = rng.sample(range(n), s * width)
+    a_parts = [sum(1 << e for e in a[i * width : (i + 1) * width]) for i in range(s)]
+    b_parts = [sum(1 << e for e in b[i * width : (i + 1) * width]) for i in range(s)]
+    common = [[(x & y).bit_count() for y in b_parts] for x in a_parts]
+    return common, a_parts, b_parts
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_matching_bounds_bracket_the_optimum(s):
+    rng = random.Random(900 + s)
+    below = above = 0
+    for _ in range(300):
+        common, a_parts, b_parts = _random_common(rng, s)
+        best = -_min_cost_matching([[-c for c in row] for row in common])
+        if s <= 6:
+            assert best == max(sum(common[i][p[i]] for i in range(s)) for p in permutations(range(s)))
+        lower, upper = _greedy_fast._greedy_matching(common), _greedy_fast._matching_upper(common)
+        assert lower <= best <= upper
+        below += lower < best
+        above += best < upper
+        for limit in range(-1, sum(map(sum, common)) + 2):
+            assert _greedy_fast._shares_above(a_parts, b_parts, limit) == (best > limit)
+    if s >= 3:
+        assert below and above  # neither bound is always exact on these draws
+
+
+def _universe_cases():
+    for s in range(1, 6):
+        for k in (1, 2, 3):
+            for n in range(max(0, s * k - 2), s * k + 3):
+                if word_count(n, k, s) <= 20_000:
+                    yield n, k, s, 0
+    for q in (2, 3, 4):
+        for k in (1, 2, 3):
+            for n in range(max(0, k - 2), k + 4):
+                yield n, k, 1, q
+
+
+@pytest.mark.parametrize("n,k,s,q", list(_universe_cases()))
+def test_universe_rows_match_enumerated_words(n, k, s, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate enumerations warn
+        words = list(enumerate_qary_words(n, k, q) if q else enumerate_words(n, k, s))
+    expected = search._incidence_rows(words, n, k, s, q)
+    got = search._universe_rows(n, k, s, q)
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape == (len(words), 2 * k if q else s * k)
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "n,k,d,kwargs",
+    [(3, 2, 3, {}), (3, 2, 3, {"mode": "distance"}), (5, 2, 3, {"s": 3}), (2, 1, 1, {"s": 4}), (2, 3, 4, {"q": 3})],
+)
+def test_degenerate_greedy_is_empty_without_warning(n, k, d, kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = greedy_code(n, k, d, 1, **kwargs)
+    assert len(code) == 0

@@ -34,6 +34,7 @@ from ekcodes import (
     word_count,
 )
 from ekcodes import _greedy_fast, search
+from ekcodes.metric import _min_cost_matching
 
 
 def test_verify_orbit_codes():
@@ -367,6 +368,22 @@ def test_greedy_tuples_and_qary_match_per_pair_oracle(n, k, d, s, q, seed):
             assert any(distance(word, other) < d for other in code.words)
 
 
+@pytest.mark.parametrize(
+    "n,k,d,s,seed", [(9, 3, 5, 3, 1), (10, 3, 5, 3, 2), (10, 3, 7, 3, 0), (12, 3, 7, 4, 1), (12, 3, 9, 4, 0)]
+)
+def test_greedy_with_open_matching_bounds_matches_per_pair_oracle(monkeypatch, n, k, d, s, seed):
+    calls = []
+
+    def counted(cost):
+        calls.append(1)
+        return _min_cost_matching(cost)
+
+    monkeypatch.setattr(_greedy_fast, "_min_cost_matching", counted)
+    expected = _stream_distance_greedy(list(enumerate_words(n, k, s)), tuple_distance, d, seed)
+    assert greedy_code(n, k, d, seed, s=s).words == expected
+    assert calls  # some pair fell between the greedy and the row/column-maxima bounds
+
+
 def test_greedy_by_distance_independent_of_chunk():
     for n, k, d, seed in ((9, 2, 3, 4), (10, 2, 4, 11), (7, 1, 2, 5)):
         universe = list(enumerate_words(n, k, 3))
@@ -440,6 +457,17 @@ def test_greedy_rejects_negative_seed():
     for kwargs in ({}, {"s": 3}, {"q": 3}):
         with pytest.raises(ParameterError, match="seed"):
             greedy_code(9, 2, 3, seed=-1, **kwargs)
+
+
+def test_greedy_witness_mode_only_for_set_pairs():
+    with pytest.raises(ParameterError, match="witness"):
+        greedy_code(7, 2, 3, 0, s=3, mode="witness")
+    for kwargs in ({"s": 1}, {"s": 3}, {"s": 4, "k": 1}, {"q": 3}):
+        params = {"n": 7, "k": 2, "d": 2, "seed": 0, **kwargs}
+        with pytest.raises(ParameterError, match="witness"):
+            greedy_code(mode="witness", **params)
+        # the distance rule serves every kind
+        assert greedy_code(mode="distance", **params).words == greedy_code(**params).words
 
 
 def test_greedy_universe_cap():
