@@ -5,12 +5,11 @@ _permuted_chunks.  Pairs stream all ordered (A, B) index pairs and drop
 the copy with min(A) > min(B), which leaves each unordered word once;
 the drop is decided from the two rank indices alone, so only the kept
 half is gathered and lifted.  s-tuples (s != 2) and q-ary words permute
-their universe's incidence rows.  greedy_by_distance accepts a row of
-incidence ids iff it keeps distance >= d to every accepted row, and
-tries cheap bounds on the best part matching before the Hungarian
-method; for pairs, greedy_pairs accepts the same words by claiming
-witnesses as integer keys in a dense array.  Every word is examined, so
-the output is maximal.
+their universe's incidence rows.  greedy_by_distance keeps the first
+live row of the stream and strikes, in one numpy pass, every later row
+closer than d to it, through verify_code's matching test; for pairs,
+greedy_pairs accepts the same words by claiming witnesses as integer
+keys in a dense array.  Every word is examined, so the output is maximal.
 
 Universes beyond the in-memory shuffle cap are permuted by a Feistel
 network on the index space (images >= M are skipped, which still visits
@@ -23,12 +22,13 @@ is deterministic in the seed and needs O(chunk) memory.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 
 from .core import ParameterError, word_count
-from .metric import _min_cost_matching, witness_splits
+from .metric import _best_shares, witness_splits
 
 SHUFFLE_CAP = 1 << 22
 SPACE_CAP = 1 << 26
@@ -155,8 +155,7 @@ class _KeyBuilder:
         self.plans = []
         for si, (u, v) in enumerate(self.splits):
             offset = si * self.space
-            sides = ((0, 1),) if u == v else ((0, 1), (1, 0))
-            for small_side, _ in sides:
+            for small_side in (0,) if u == v else (0, 1):
                 for uidx in combinations(range(self.k), u):
                     for vidx in combinations(range(self.k), v):
                         self.plans.append((offset, u == v, small_side, uidx, vidx))
@@ -164,23 +163,27 @@ class _KeyBuilder:
     def build(self, a_cols: list[np.ndarray], b_cols: list[np.ndarray]) -> list[np.ndarray]:
         n = np.int64(self.n)
         sides = (a_cols, b_cols)
+        encoded: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+        uses = Counter(key for _, _, side, uidx, vidx in self.plans for key in ((side, uidx), (1 - side, vidx)))
 
-        def encode(cols: list[np.ndarray], idx: tuple[int, ...]):
-            enc = np.int64(0)
-            for pos in idx:
-                enc = enc * n + cols[pos]
-            return enc
+        def encode(side: int, idx: tuple[int, ...]):
+            # encode each (side, index tuple) once, and hold it only until its last plan
+            key = side, idx
+            if key not in encoded:
+                enc = sides[side][idx[0]] if idx else np.int64(0)
+                for pos in idx[1:]:
+                    enc = enc * n + sides[side][pos]
+                encoded[key] = enc
+            uses[key] -= 1
+            return encoded[key] if uses[key] else encoded.pop(key)
 
         keys = []
         for offset, symmetric, small_side, uidx, vidx in self.plans:
-            small = sides[small_side]
-            large = sides[1 - small_side]
-            enc_u = encode(small, uidx)
-            enc_v = encode(large, vidx)
+            enc_u = encode(small_side, uidx)
+            enc_v = encode(1 - small_side, vidx)
             if symmetric:
                 enc_u, enc_v = np.minimum(enc_u, enc_v), np.maximum(enc_u, enc_v)
-            shift = np.int64(self.n ** len(vidx))
-            keys.append(enc_u * shift + enc_v + np.int64(offset))
+            keys.append(enc_u * np.int64(self.n ** len(vidx)) + enc_v + np.int64(offset))
         return keys
 
 
@@ -261,71 +264,35 @@ def greedy_pairs(n: int, k: int, d: int, seed: int, chunk: int = _CHUNK):
     return accepted
 
 
-def _matching_upper(common: list[list[int]]) -> int:
-    """Upper bound on the best matching: the smaller of the row-maxima and column-maxima sums."""
-    return min(sum(map(max, common)), sum(map(max, zip(*common))))
-
-
-def _greedy_matching(common: list[list[int]]) -> int:
-    """Lower bound on the best matching: each row in turn takes its largest free column."""
-    free = list(range(len(common)))
-    shared = 0
-    for row in common:
-        j = max(free, key=row.__getitem__)
-        free.remove(j)
-        shared += row[j]
-    return shared
-
-
-def _shares_above(a: list[int], b: list[int], limit: int) -> bool:
-    """True iff the best matching of parts a to parts b shares more than limit ids.
-
-    Parts are id bitmasks.  The s x s common counts are built once; only a
-    pair whose two bounds leave `limit` between them runs the Hungarian
-    method.
-    """
-    common = [[(x & y).bit_count() for y in b] for x in a]
-    if _matching_upper(common) <= limit:
-        return False
-    if _greedy_matching(common) > limit:
-        return True
-    return -_min_cost_matching([[-c for c in row] for row in common]) > limit
-
-
-def greedy_by_distance(chunks, s: int, limit: int) -> list[list[int]]:
-    """Distance-rule greedy over chunks of incidence rows, in stream order.
+def greedy_by_distance(rows: np.ndarray, s: int, limit: int) -> np.ndarray:
+    """Distance-rule greedy over a table of incidence rows in stream order; returns the kept rows.
 
     A row is s parts of w distinct ids, as search._incidence_rows builds
-    them.  It is accepted iff its best part matching with every accepted
-    row shares at most `limit` = s*w - d ids: max(straight, crossed) at
-    s = 2; otherwise the shared ids of the two unions, which decide s = 1,
-    and above `limit` the matching bounds of _shares_above, with the
-    Hungarian method only where they leave the pair open.  Returns the
-    accepted rows.
+    them; two rows are closer than d iff their best part matching shares
+    more than `limit` = s*w - d ids.  The first live row is kept, as every
+    row too close to an earlier kept row is already struck, and strikes
+    each later live row whose union shares more than `limit` of its ids
+    (a bound on the matching, exact at s = 1) and whose s x s common
+    counts then do too under metric._best_shares.  Live rows are columns,
+    so every reduction runs along a leading axis.
     """
-    masks: list = []
-    accepted: list[list[int]] = []
-    for rows in chunks:
-        bits = np.array([1 << e for e in range(int(rows.max()) + 1)], dtype=object)
-        parts = bits[rows].reshape(len(rows), s, -1).sum(axis=2)
-        hits = []
-        if s == 2:
-            for i, (a1, a2) in enumerate(parts.tolist()):
-                for b1, b2 in masks:
-                    straight = (a1 & b1).bit_count() + (a2 & b2).bit_count()
-                    crossed = (a1 & b2).bit_count() + (a2 & b1).bit_count()
-                    if straight > limit or crossed > limit:
-                        break
-                else:
-                    masks.append((a1, a2))
-                    hits.append(i)
-        else:
-            for i, (union, a) in enumerate(zip(parts.sum(axis=1).tolist(), parts.tolist())):
-                for other_union, b in masks:
-                    if (union & other_union).bit_count() > limit and (s == 1 or _shares_above(a, b, limit)):
-                        break
-                else:
-                    masks.append((union, a))
-                    hits.append(i)
-        accepted.extend(rows[hits].tolist())
-    return accepted
+    width = rows.shape[1]
+    count = np.min_scalar_type(width)  # every count below is at most width
+    parts = np.arange(1, s + 1, dtype=np.min_scalar_type(s))
+    labels = np.repeat(parts, width // s)
+    part_of = np.zeros(int(rows.max(initial=0)) + 1, dtype=parts.dtype)  # 1 + the kept row's part holding an id, or 0
+    kept = []
+    live = rows.T.copy()
+    while live.shape[1]:
+        row, live = live[:, 0], live[:, 1:]
+        kept.append(row.tolist())
+        part_of[row] = labels
+        held = part_of.take(live)
+        part_of[row] = 0
+        far = (held != 0).sum(axis=0, dtype=count) <= limit
+        if s > 1:
+            near = ~far
+            common = np.compress(near, held, axis=1).reshape(s, width // s, 1, -1) == parts[:, None]
+            far[near] = _best_shares(common.sum(axis=1, dtype=count), limit) <= limit
+        live = np.compress(far, live, axis=1)
+    return np.array(kept, dtype=np.int32).reshape(-1, width)

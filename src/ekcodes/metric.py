@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+import numpy as np
+
 from .core import ParameterError, QaryPairWord, QaryWord, STuple
 
 _PERMUTATION_LIMIT = 8
@@ -103,6 +105,79 @@ def _min_cost_matching(cost: list[list[int]]) -> int:
             match[col] = match[way[col]]
             col = way[col]
     return -v[0]
+
+
+def _best_matchings(weights: np.ndarray) -> np.ndarray:
+    """Maximum-weight perfect matching of each s x s matrix in a batch.
+
+    Above s = 3, the Hungarian method by shortest augmenting paths, as in
+    `_min_cost_matching`, run on the whole batch at once: each step grows
+    every unfinished path by one column (a finished one idles), so a batch
+    of any size takes O(s^2) numpy steps.  Costs are the negated weights,
+    and -v[0] ends as the cheapest cost, so v[0] is the best weight.
+    """
+    batch, s, _ = weights.shape
+    if s <= 3:  # the best of the s! matchings, each summed over its cells i*s + p(i)
+        cells = np.array([[i * s + j for i, j in enumerate(p)] for p in permutations(range(s))])
+        return weights.reshape(batch, s * s).T[cells].sum(axis=1, dtype=np.int64).max(axis=0)
+    cost = np.zeros((batch, s + 1, s + 1), dtype=np.int64)
+    cost[:, 1:, 1:] = np.negative(weights, dtype=np.int64)
+    u = np.zeros((batch, s + 1), dtype=np.int64)
+    v = np.zeros_like(u)
+    match = np.zeros((batch, s + 1), dtype=np.intp)  # row held by each column; column 0 is the root
+    way = np.zeros_like(match)
+    b = np.arange(batch)
+    inf = np.iinfo(np.int64).max // 2
+    for i in range(1, s + 1):
+        match[:, 0] = i
+        col = np.zeros(batch, dtype=np.intp)
+        minv = np.full((batch, s + 1), inf)
+        used = np.zeros((batch, s + 1), dtype=bool)
+        grow = np.ones(batch, dtype=bool)
+        while grow.any():
+            used[b, col] = True
+            row = match[b, col]
+            reduced = cost[b, row] - u[b, row][:, None] - v
+            closer = grow[:, None] & ~used & (reduced < minv)
+            minv = np.where(closer, reduced, minv)
+            way = np.where(closer, col[:, None], way)
+            nxt = np.where(used, inf, minv).argmin(axis=1)
+            delta = np.where(grow, minv[b, nxt], 0)
+            held = np.nonzero(used)
+            u[held[0], match[held]] += delta[held[0]]
+            v -= np.where(used, delta[:, None], 0)
+            minv -= np.where(used, 0, delta[:, None])
+            col = np.where(grow, nxt, col)
+            grow &= match[b, col] != 0
+        while col.any():
+            back = way[b, col]
+            match[b, col] = np.where(col != 0, match[b, back], match[b, col])
+            col = back
+    return v[:, 0]
+
+
+def _matching_bounds(common: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the best matching of each (s, s, batch) count matrix: its largest
+    cell, and the smaller of its row-maxima and column-maxima sums."""
+    rows, cols = (common.max(axis=axis).sum(axis=0, dtype=common.dtype) for axis in (1, 0))
+    return common.max(axis=(0, 1)), np.minimum(rows, cols)
+
+
+def _best_shares(common: np.ndarray, floor: int) -> np.ndarray:
+    """Best part matching of each (s, s, batch) count matrix, as far as `floor` needs it.
+
+    The result exceeds floor exactly where the best matching does.  It is
+    the best matching at s <= 2 (two diagonals, in closed form) and, above,
+    where `_matching_bounds` leave floor between them (`_best_matchings`);
+    elsewhere it is the largest cell.
+    """
+    if len(common) == 2:
+        return np.maximum(common[0, 0] + common[1, 1], common[0, 1] + common[1, 0])
+    best, upper = _matching_bounds(common)
+    open_ = (best <= floor) & (upper > floor)
+    if open_.any():
+        best[open_] = _best_matchings(common[:, :, open_].transpose(2, 0, 1))
+    return best
 
 
 def qary_distance(u: QaryWord, v: QaryWord) -> int:

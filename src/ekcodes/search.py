@@ -9,8 +9,9 @@ closest get an exact part matching.  min_distance_at_least is a thin
 threshold test over verify_code for 2-part set-world codes.
 greedy_code builds a maximal code by reading a seeded permutation of the
 word universe, as incidence rows of the same kind, through one distance
-rule (`_greedy_fast`); s-tuple and q-ary universes are built as rows
-directly, without word objects.  exact_max_code is a
+rule (`_greedy_fast`), in which each kept word strikes its conflicts
+through verify_code's matching test; s-tuple and q-ary universes are
+built as rows directly, without word objects.  exact_max_code is a
 branch-and-bound clique search over the compatibility graph, which it
 builds from shared witness keys; exhaustive_max_code, a plain enumeration
 over a graph built by comparing every pair of words, is kept alongside as
@@ -38,56 +39,11 @@ from .core import (
     qary_word_count,
     word_count,
 )
+from .metric import _best_shares
 
 _PAIR_TILE = 1 << 13
 _DISTANCE_UNIVERSE_CAP = 2_000_000
 _DEFAULT_WORD_CEILING = 5_000
-
-
-def _best_matchings(weights: np.ndarray) -> np.ndarray:
-    """Maximum-weight perfect matching of each s x s matrix in a batch.
-
-    The Hungarian method by shortest augmenting paths, as in
-    metric.tuple_distance, run on the whole batch at once: each step grows
-    every unfinished path by one column (a finished one idles), so a batch
-    takes O(s^2) numpy steps of O(batch * s) work.  Costs are the negated
-    weights, and -v[0] ends as the cheapest cost, so v[0] is the best weight.
-    """
-    batch, s, _ = weights.shape
-    cost = np.zeros((batch, s + 1, s + 1), dtype=np.int64)
-    cost[:, 1:, 1:] = -weights
-    u = np.zeros((batch, s + 1), dtype=np.int64)
-    v = np.zeros_like(u)
-    match = np.zeros((batch, s + 1), dtype=np.intp)  # row held by each column; column 0 is the root
-    way = np.zeros_like(match)
-    b = np.arange(batch)
-    inf = np.iinfo(np.int64).max // 2
-    for i in range(1, s + 1):
-        match[:, 0] = i
-        col = np.zeros(batch, dtype=np.intp)
-        minv = np.full((batch, s + 1), inf)
-        used = np.zeros((batch, s + 1), dtype=bool)
-        grow = np.ones(batch, dtype=bool)
-        while grow.any():
-            used[b, col] = True
-            row = match[b, col]
-            reduced = cost[b, row] - u[b, row][:, None] - v
-            closer = grow[:, None] & ~used & (reduced < minv)
-            minv = np.where(closer, reduced, minv)
-            way = np.where(closer, col[:, None], way)
-            nxt = np.where(used, inf, minv).argmin(axis=1)
-            delta = np.where(grow, minv[b, nxt], 0)
-            held = np.nonzero(used)
-            u[held[0], match[held]] += delta[held[0]]
-            v -= np.where(used, delta[:, None], 0)
-            minv -= np.where(used, 0, delta[:, None])
-            col = np.where(grow, nxt, col)
-            grow &= match[b, col] != 0
-        while col.any():
-            back = way[b, col]
-            match[b, col] = np.where(col != 0, match[b, back], match[b, col])
-            col = back
-    return v[:, 0]
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,10 +63,10 @@ def _best_common(rows: np.ndarray, s: int) -> int:
     pair of rows (i, j) once, as i*W + j shifted left by `shift` bits plus
     the cell pi*s + pj.  After sorting, a pair's keys are contiguous and
     its cells' runs are its s x s matrix of common counts.  A pair can beat
-    the best so far only if it shares more incidences than that.  For those
-    pairs, the largest cell is a lower bound (any one cell extends to a
-    full matching), and only pairs whose row maxima and column maxima both
-    sum higher than the best go on to the exact matching.  Rows are walked
+    the best so far only if it shares more incidences than that.  Their
+    largest cell raises the best (any one cell extends to a full matching),
+    and metric._best_shares, greedy_code's matching test too, finds any
+    pair that still beats it.  Rows are walked
     in tiles of about _PAIR_TILE generated keys, which bounds the
     temporaries at every s.
     """
@@ -151,10 +107,7 @@ def _best_common(rows: np.ndarray, s: int) -> int:
                 _, cells = _runs(keys[firsts] >> shift)
                 common = np.zeros((s * s, cells.size), dtype=np.int64)
                 common[keys[firsts] & (1 << shift) - 1, np.repeat(np.arange(cells.size), cells)] = runs
-                common = common.reshape(s, s, -1)
-                bound = np.minimum(common.max(axis=1).sum(axis=0), common.max(axis=0).sum(axis=0))
-                if bound.max() > best:
-                    best = max(best, int(_best_matchings(common[:, :, bound > best].transpose(2, 0, 1)).max()))
+                best = max(best, int(_best_shares(common.reshape(s, s, -1), best).max()))
         lo = hi
     return best
 
@@ -247,7 +200,9 @@ def greedy_code(
     Every kind of word reads one seeded stream (`_greedy_fast`) and keeps a
     word iff it has distance >= d to every word kept before it.  Set-world
     pairs stream the ordered index pairs; s-tuples (s != 2) and q-ary words
-    permute their universe's incidence rows (`_universe_rows`).  Pairs can
+    permute their universe's incidence rows (`_universe_rows`).  The
+    distance rule holds the stream as one int32 table, in which each kept
+    word strikes every later word closer than d to it.  Pairs can
     also be accepted by the witness rule (a word is kept iff none of its
     witnesses is already claimed), which keeps the same words: mode forces
     "witness" or "distance", and "auto" uses the witness rule where its
@@ -278,10 +233,11 @@ def greedy_code(
         if size > _DISTANCE_UNIVERSE_CAP:
             raise ParameterError(f"universe exceeds {_DISTANCE_UNIVERSE_CAP} words")
         if not q and s == 2:
-            stream = (np.column_stack(a + b) for a, b in _greedy_fast._stream_words(n, k, seed))
+            chunks = [np.column_stack(a + b).astype(np.int32) for a, b in _greedy_fast._stream_words(n, k, seed)]
         else:
             table = _universe_rows(n, k, s, q)
-            stream = (table[ids] for ids in _greedy_fast._permuted_chunks(size, seed, _greedy_fast._CHUNK))
+            chunks = [table[ids] for ids in _greedy_fast._permuted_chunks(size, seed, _greedy_fast._CHUNK)]
+        stream = np.concatenate([np.empty((0, width), dtype=np.int32), *chunks])
         rows = _greedy_fast.greedy_by_distance(stream, s, width - d)
     rows = np.array(rows, dtype=np.intp).reshape(-1, width)
     if q:  # invert _incidence_rows: support positions i, then n + i*q + symbol

@@ -1,11 +1,11 @@
-"""Differential tests of the greedy engine's stream, Feistel permutation and matching bounds.
+"""Differential tests of the greedy engine's stream, Feistel permutation, witness keys and matching test.
 
 Each fast path is checked against a plain oracle: the
 stream against unrank -> lift -> drop the mirrored copies, the Feistel
 chunks against four full-domain rounds followed by the `< m` filter, the
-bounded matching against the Hungarian method and the permutation
-oracle, and the direct universe rows against the rows of enumerated
-word objects.
+witness key columns against one encoding per plan, the threshold-matching
+tail against the Hungarian method and the permutation oracle, and the
+direct universe rows against the rows of enumerated word objects.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from ekcodes import _greedy_fast, search
+from ekcodes import _greedy_fast, metric, search
 from ekcodes.core import enumerate_qary_words, enumerate_words, word_count
 from ekcodes.metric import _min_cost_matching
 from ekcodes.search import greedy_code
@@ -150,34 +150,80 @@ def test_feistel_helper_thread_ends_with_the_stream(monkeypatch):
 
 
 def _random_common(rng, s):
-    """An s x s common-count matrix of two random s-part words, and the words' part masks."""
+    """The s x s common-count matrix of two random s-part words."""
     width = rng.randint(1, 4)
     n = rng.randint(s * width, s * width + 6)
     a = rng.sample(range(n), s * width)
     b = rng.sample(range(n), s * width)
-    a_parts = [sum(1 << e for e in a[i * width : (i + 1) * width]) for i in range(s)]
-    b_parts = [sum(1 << e for e in b[i * width : (i + 1) * width]) for i in range(s)]
-    common = [[(x & y).bit_count() for y in b_parts] for x in a_parts]
-    return common, a_parts, b_parts
+    a_parts = [set(a[i * width : (i + 1) * width]) for i in range(s)]
+    b_parts = [set(b[i * width : (i + 1) * width]) for i in range(s)]
+    return [[len(x & y) for y in b_parts] for x in a_parts]
 
 
 @pytest.mark.parametrize("s", range(1, 8))
 def test_matching_bounds_bracket_the_optimum(s):
+    """The threshold-matching tail of verify and greedy against exact matchings, at every limit."""
     rng = random.Random(900 + s)
-    below = above = 0
-    for _ in range(300):
-        common, a_parts, b_parts = _random_common(rng, s)
-        best = -_min_cost_matching([[-c for c in row] for row in common])
-        if s <= 6:
-            assert best == max(sum(common[i][p[i]] for i in range(s)) for p in permutations(range(s)))
-        lower, upper = _greedy_fast._greedy_matching(common), _greedy_fast._matching_upper(common)
-        assert lower <= best <= upper
-        below += lower < best
-        above += best < upper
-        for limit in range(-1, sum(map(sum, common)) + 2):
-            assert _greedy_fast._shares_above(a_parts, b_parts, limit) == (best > limit)
+    draws = [_random_common(rng, s) for _ in range(300)]
+    if s <= 6:
+        best = [max(sum(c[i][p[i]] for i in range(s)) for p in permutations(range(s))) for c in draws]
+    else:
+        best = [-_min_cost_matching([[-x for x in row] for row in c]) for c in draws]
+    best = np.array(best)
+    common = np.array(draws).transpose(1, 2, 0)  # (s, s, batch), as the kernels pass it
+    lower, upper = metric._matching_bounds(common)
+    assert (lower <= best).all() and (best <= upper).all()
+    for limit in range(-1, int(common.sum(axis=(0, 1)).max()) + 2):
+        shares = metric._best_shares(common, limit)
+        np.testing.assert_array_equal(shares > limit, best > limit)
+        exact = slice(None) if s <= 2 else (lower <= limit) & (limit < upper)
+        np.testing.assert_array_equal(shares[exact], best[exact])
     if s >= 3:
-        assert below and above  # neither bound is always exact on these draws
+        assert (lower < best).any() and (best < upper).any()  # neither bound is always exact on these draws
+
+
+def test_two_part_closed_form_matches_best_matchings():
+    rng = np.random.default_rng(21)
+    for high in (2, 4, 7):
+        weights = rng.integers(0, high, size=(400, 2, 2))
+        expected = metric._best_matchings(weights)
+        for floor in (-1, 0, 1, 3, 2 * high):
+            np.testing.assert_array_equal(metric._best_shares(weights.transpose(1, 2, 0), floor), expected)
+
+
+def _loop_keys(builder, a_cols, b_cols):
+    """Oracle: the key columns encoded afresh for every plan, each from 0 * n + the first column."""
+    n = np.int64(builder.n)
+    sides = (a_cols, b_cols)
+
+    def encode(cols, idx):
+        enc = np.int64(0)
+        for pos in idx:
+            enc = enc * n + cols[pos]
+        return enc
+
+    keys = []
+    for offset, symmetric, small_side, uidx, vidx in builder.plans:
+        enc_u = encode(sides[small_side], uidx)
+        enc_v = encode(sides[1 - small_side], vidx)
+        if symmetric:
+            enc_u, enc_v = np.minimum(enc_u, enc_v), np.maximum(enc_u, enc_v)
+        keys.append(enc_u * np.int64(builder.n ** len(vidx)) + enc_v + np.int64(offset))
+    return keys
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_key_builder_matches_per_plan_encoding(k):
+    n = 2 * k + 5
+    a_cols, b_cols = next(_greedy_fast._stream_words(n, k, 40 + k, 200))
+    for d in range(1, 2 * k + 1):
+        builder = _greedy_fast._KeyBuilder(n, k, d)
+        got = builder.build(a_cols, b_cols)
+        expected = _loop_keys(builder, a_cols, b_cols)
+        assert len(got) == len(expected) == len(builder.plans)
+        for col, ref in zip(got, expected):
+            assert col.dtype == ref.dtype == np.int64
+            np.testing.assert_array_equal(col, ref)
 
 
 def _universe_cases():

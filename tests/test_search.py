@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import permutations
@@ -14,6 +15,7 @@ from ekcodes import (
     QaryWord,
     STuple,
     canonicalize,
+    code_to_json,
     enumerate_qary_words,
     enumerate_words,
     exact_max_code,
@@ -33,8 +35,7 @@ from ekcodes import (
     witness_set,
     word_count,
 )
-from ekcodes import _greedy_fast, search
-from ekcodes.metric import _min_cost_matching
+from ekcodes import _greedy_fast, metric, search
 
 
 def test_verify_orbit_codes():
@@ -176,7 +177,7 @@ def test_best_matchings_against_permutations():
         for high in (2, 5):
             weights = rng.integers(0, high, size=(60, s, s))
             expected = [max(sum(w[i, p[i]] for i in range(s)) for p in permutations(range(s))) for w in weights]
-            assert search._best_matchings(weights).tolist() == expected
+            assert metric._best_matchings(weights).tolist() == expected
 
 
 def test_best_common_keeps_the_best_over_later_tiles(monkeypatch):
@@ -295,19 +296,22 @@ def test_greedy_disjoint_support_sizes():
         assert verify_code(code) >= 2 * k
 
 
+def _pair_stream(n, k, seed):
+    """The pair words of _stream_words, in stream order."""
+    for a_cols, b_cols in _greedy_fast._stream_words(n, k, seed):
+        for a, b in zip(zip(*(c.tolist() for c in a_cols)), zip(*(c.tolist() for c in b_cols))):
+            yield STuple((KSubset(n, a), KSubset(n, b)))
+
+
 def _stream_witness_greedy(n, k, d, seed):
     """Oracle: walk the engine's word stream one word at a time, claiming witness_set."""
     claimed: set = set()
     accepted = set()
-    for a_cols, b_cols in _greedy_fast._stream_words(n, k, seed):
-        a_rows = zip(*(c.tolist() for c in a_cols))
-        b_rows = zip(*(c.tolist() for c in b_cols))
-        for a, b in zip(a_rows, b_rows):
-            word = STuple((KSubset(n, a), KSubset(n, b)))
-            wits = witness_set(word, d)
-            if claimed.isdisjoint(wits):
-                claimed |= wits
-                accepted.add(word)
+    for word in _pair_stream(n, k, seed):
+        wits = witness_set(word, d)
+        if claimed.isdisjoint(wits):
+            claimed |= wits
+            accepted.add(word)
     return frozenset(accepted)
 
 
@@ -329,15 +333,33 @@ def test_greedy_matches_sequential_stream_oracle(n, k, d, seed):
     assert greedy_code(n, k, d, seed, mode="distance").words == expected
 
 
-def _stream_distance_greedy(universe, distance, d, seed, chunk=_greedy_fast._CHUNK):
-    """Oracle: walk the universe in _permuted_chunks order, one distance call per pair."""
+def _stream_distance_greedy(stream, distance, d):
+    """Oracle: walk the words in stream order, one distance call per pair."""
     accepted = []
-    for ids in _greedy_fast._permuted_chunks(len(universe), seed, chunk):
-        for i in ids.tolist():
-            word = universe[i]
-            if all(distance(word, other) >= d for other in accepted):
-                accepted.append(word)
+    for word in stream:
+        if all(distance(word, other) >= d for other in accepted):
+            accepted.append(word)
     return frozenset(accepted)
+
+
+def _permuted(universe, seed, chunk=_greedy_fast._CHUNK):
+    """The universe in _permuted_chunks order."""
+    return [universe[i] for ids in _greedy_fast._permuted_chunks(len(universe), seed, chunk) for i in ids.tolist()]
+
+
+# the oracle is quadratic in the words kept, so the universe is capped per d (d = 1 keeps every word)
+_PAIR_ORACLE_CAP = {1: 400, 2: 2_500}
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(6, 15) for k in (1, 2, 3) if word_count(n, k, 2) <= 10_000])
+@pytest.mark.parametrize("seed", [0, 7, 123456])
+def test_distance_mode_pairs_match_per_pair_oracle(n, k, seed):
+    size = word_count(n, k, 2)
+    stream = list(_pair_stream(n, k, seed))
+    for d in range(1, 2 * k + 1):
+        if size <= _PAIR_ORACLE_CAP.get(d, size):
+            code = greedy_code(n, k, d, seed, mode="distance")
+            assert code.words == _stream_distance_greedy(stream, pair_distance, d), d
 
 
 def _tuple_and_qary_draws(count, seed):
@@ -360,7 +382,7 @@ def test_greedy_tuples_and_qary_match_per_pair_oracle(n, k, d, s, q, seed):
     distance = qary_distance if q else tuple_distance
     universe = list(enumerate_qary_words(n, k, q) if q else enumerate_words(n, k, s))
     code = greedy_code(n, k, d, seed, s=s, q=q)
-    assert code.words == _stream_distance_greedy(universe, distance, d, seed)
+    assert code.words == _stream_distance_greedy(_permuted(universe, seed), distance, d)
     assert verify_code(code) >= d
     # maximal: every word left out is closer than d to a kept one
     for word in universe:
@@ -372,16 +394,25 @@ def test_greedy_tuples_and_qary_match_per_pair_oracle(n, k, d, s, q, seed):
     "n,k,d,s,seed", [(9, 3, 5, 3, 1), (10, 3, 5, 3, 2), (10, 3, 7, 3, 0), (12, 3, 7, 4, 1), (12, 3, 9, 4, 0)]
 )
 def test_greedy_with_open_matching_bounds_matches_per_pair_oracle(monkeypatch, n, k, d, s, seed):
-    calls = []
+    batches = []
 
-    def counted(cost):
-        calls.append(1)
-        return _min_cost_matching(cost)
+    def counted(weights):
+        batches.append(len(weights))
+        return best_matchings(weights)
 
-    monkeypatch.setattr(_greedy_fast, "_min_cost_matching", counted)
-    expected = _stream_distance_greedy(list(enumerate_words(n, k, s)), tuple_distance, d, seed)
+    best_matchings = metric._best_matchings
+    monkeypatch.setattr(metric, "_best_matchings", counted)
+    expected = _stream_distance_greedy(_permuted(list(enumerate_words(n, k, s)), seed), tuple_distance, d)
     assert greedy_code(n, k, d, seed, s=s).words == expected
-    assert calls  # some pair fell between the greedy and the row/column-maxima bounds
+    assert batches  # some pairs fell between the largest cell and the row/column-maxima bound
+
+
+def test_greedy_large_tuple_code_is_pinned():
+    """(11,3,3) s=3 at seed 1 keeps 293 words; its JSON bytes are pinned."""
+    text = code_to_json(greedy_code(11, 3, 3, 1, s=3))
+    assert len(text) == 7930
+    digest = "e2a07032e803ba0bc09d50b05da377af0f0da78b9f1295fc961363c5c23ec16a"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_greedy_by_distance_independent_of_chunk():
@@ -390,10 +421,10 @@ def test_greedy_by_distance_independent_of_chunk():
         table = search._incidence_rows(universe, n, k, 3, 0)
         runs = []
         for chunk in (1, 7, _greedy_fast._CHUNK):
-            stream = (table[ids] for ids in _greedy_fast._permuted_chunks(len(table), seed, chunk))
-            runs.append(_greedy_fast.greedy_by_distance(stream, 3, 3 * k - d))
+            rows = table[np.concatenate(list(_greedy_fast._permuted_chunks(len(table), seed, chunk)))]
+            runs.append(_greedy_fast.greedy_by_distance(rows, 3, 3 * k - d).tolist())
         assert runs[0] == runs[1] == runs[2]
-        expected = _stream_distance_greedy(universe, tuple_distance, d, seed, chunk=7)
+        expected = _stream_distance_greedy(_permuted(universe, seed, chunk=7), tuple_distance, d)
         assert greedy_code(n, k, d, seed, s=3).words == expected
 
 
