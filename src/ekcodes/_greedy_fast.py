@@ -267,7 +267,7 @@ def greedy_pairs(n: int, k: int, d: int, seed: int, chunk: int = _CHUNK):
 def greedy_by_distance(rows: np.ndarray, s: int, limit: int) -> np.ndarray:
     """Distance-rule greedy over a table of incidence rows in stream order; returns the kept rows.
 
-    A row is s parts of w distinct ids, as search._incidence_rows builds
+    A row is s parts of w distinct ids, as core._incidence_rows builds
     them; two rows are closer than d iff their best part matching shares
     more than `limit` = s*w - d ids.  The first live row is kept, as every
     row too close to an earlier kept row is already struck, and strikes

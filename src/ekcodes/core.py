@@ -11,6 +11,10 @@ rows are canonical by construction (a monotone gather through sorted
 blocks, sorted translates, the greedy word stream) build their words
 through one private constructor, `_canonical_words`, which sets each
 part's elements and mask without re-checking them.
+
+Only this module knows a word's int-row form: `_incidence_rows` (words to
+rows), `_universe_blocks` (the one enumerator) and `_row_words` (rows to
+words, also for the public enumerators, one block at a time).
 """
 
 from __future__ import annotations
@@ -19,12 +23,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 import numpy as np
+
+_ROW_BLOCK = 1 << 12  # words built per block by the enumerators
 
 
 class ParameterError(ValueError):
@@ -241,6 +247,74 @@ def _canonical_words(n: int, rows: np.ndarray) -> list[STuple]:
     return list(map(word, zip(*(parts[i::s] for i in range(s)))))
 
 
+def _incidence_rows(words: Collection, n: int, k: int, s: int, q: int) -> np.ndarray:
+    """Each word as one row of distinct incidence ids, s parts of equal width.
+
+    A set-world part lists its elements.  A weight-k q-ary word lists its
+    support positions i and then n + i*q + u_i, so two words share
+    |supp u & supp v| + |{i : u_i = v_i != 0}| = 2k - d_H(u, v) ids; a
+    q-ary pair lists u's ids and then v's.
+    """
+    if q == 0:
+        elements = chain.from_iterable([part.elements for w in words for part in w.parts])
+        return np.fromiter(elements, dtype=np.int32).reshape(len(words), s * k)
+    members = [(w,) if s == 1 else (w.u, w.v) for w in words]
+    symbols = np.array([[m.symbols for m in ms] for ms in members], dtype=np.int32).reshape(len(words), s, n)
+    support = np.nonzero(symbols)[2].reshape(len(words), s, k).astype(np.int32)
+    values = np.take_along_axis(symbols, support, axis=2)
+    return np.concatenate([support, n + support * q + values], axis=2).reshape(len(words), 2 * s * k)
+
+
+def _int_rows(tuples: list[tuple[int, ...]], width: int) -> np.ndarray:
+    """Equal-length int tuples as an int32 array of shape (len(tuples), width)."""
+    return np.fromiter(chain.from_iterable(tuples), np.int32, len(tuples) * width).reshape(len(tuples), width)
+
+
+def _universe_blocks(n: int, k: int, s: int, q: int) -> Iterator[np.ndarray]:
+    """A universe's incidence rows in lex order, about _ROW_BLOCK at a time; none if degenerate.
+
+    q-ary rows (single words) pair each support with every nonzero value tuple.
+    """
+    if q:
+        if k > n:
+            return
+        values = _int_rows(list(product(range(1, q), repeat=k)), k)
+        supports = combinations(range(n), k)
+        while chunk := list(islice(supports, max(1, _ROW_BLOCK // len(values)))):
+            support = np.repeat(_int_rows(chunk, k), len(values), axis=0)
+            yield np.concatenate([support, n + support * q + np.tile(values, (len(chunk), 1))], axis=1)
+        return
+
+    def extend(prefix: tuple[int, ...], remaining: list[int]) -> Iterator[tuple[int, ...]]:
+        # parts are ordered by their minima: later parts use only elements above this one's first
+        if len(prefix) == s * k:
+            yield prefix
+            return
+        if len(remaining) < s * k - len(prefix):
+            return
+        for combo in combinations(remaining, k):
+            yield from extend(prefix + combo, [e for e in remaining if e > combo[0] and e not in combo])
+
+    rows = extend((), list(range(n)))
+    while chunk := list(islice(rows, _ROW_BLOCK)):
+        yield _int_rows(chunk, s * k)
+
+
+def _universe_rows(n: int, k: int, s: int, q: int) -> np.ndarray:
+    """All of _universe_blocks as one int32 table: the rows of enumerate_words or enumerate_qary_words."""
+    width = 2 * k if q else s * k
+    return np.concatenate([np.empty((0, width), dtype=np.int32), *_universe_blocks(n, k, s, q)])
+
+
+def _row_words(rows: np.ndarray, n: int, k: int, s: int, q: int) -> list:
+    """Words from canonical set-world rows (unchecked) or single q-ary rows: _incidence_rows inverted."""
+    if not q:
+        return _canonical_words(n, rows.reshape(-1, s, k))
+    symbols = np.zeros((len(rows), n), dtype=np.int64)
+    np.put_along_axis(symbols, rows[:, :k], rows[:, k:] - n - rows[:, :k] * q, axis=1)
+    return [QaryWord(n, q, tuple(row)) for row in symbols.tolist()]
+
+
 def word_count(n: int, k: int, s: int = 2) -> int:
     """Number of words: (1/s!) * prod_i C(n - i*k, k)."""
     if k < 1 or s < 1:
@@ -255,31 +329,14 @@ def enumerate_words(n: int, k: int, s: int = 2) -> Iterator[STuple]:
     """Yield every canonical word on [0, n) exactly once, in lex order.
 
     Degenerate parameters (s*k > n) yield an empty stream and emit a
-    DegenerateParametersWarning.
+    DegenerateParametersWarning.  Memory is O(_ROW_BLOCK) at any size.
     """
-    if k < 1 or s < 1:
-        raise ParameterError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
-    if s * k > n:
-        warnings.warn(
-            f"no words exist for n={n}, k={k}, s={s} (s*k > n)",
-            DegenerateParametersWarning,
-            stacklevel=2,
-        )
+    if not word_count(n, k, s):  # raises ParameterError unless k >= 1 and s >= 1
+        message = f"no words exist for n={n}, k={k}, s={s} (s*k > n)"
+        warnings.warn(message, DegenerateParametersWarning, stacklevel=2)
         return
-
-    def extend(chosen: list[KSubset], remaining: list[int], low: int) -> Iterator[STuple]:
-        if len(chosen) == s:
-            yield STuple(tuple(chosen))
-            return
-        for combo in combinations(remaining, k):
-            # parts are ordered by their minima, so anchor on the first element
-            if combo[0] < low:
-                continue
-            part = KSubset(n, combo)
-            rest = [e for e in remaining if e not in combo]
-            yield from extend(chosen + [part], rest, combo[0] + 1)
-
-    yield from extend([], list(range(n)), 0)
+    for rows in _universe_blocks(n, k, s, 0):
+        yield from _row_words(rows, n, k, s, 0)
 
 
 @dataclass(frozen=True)
@@ -349,13 +406,8 @@ def enumerate_qary_words(n: int, k: int, q: int) -> Iterator[QaryWord]:
     """Yield every weight-k q-ary word of length n, in lex order of (support, values)."""
     if k < 0 or q < 2:
         raise ParameterError(f"need k >= 0 and q >= 2, got k={k}, q={q}")
-    nonzero = range(1, q)
-    for support in combinations(range(n), k):
-        for values in product(nonzero, repeat=k):
-            word = [0] * n
-            for pos, val in zip(support, values):
-                word[pos] = val
-            yield QaryWord(n, q, tuple(word))
+    for rows in _universe_blocks(n, k, 1, q):
+        yield from _row_words(rows, n, k, 1, q)
 
 
 Word = STuple | QaryWord | QaryPairWord

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Code, ParameterError, STuple, _canonical_words
+from .core import Code, ParameterError, STuple, _canonical_words, _incidence_rows
 
 _VERIFY_T_SUBSET_CAP = 5_000_000
 _GREEDY_BLOCK_CAP = 2_000_000
@@ -286,7 +286,7 @@ def compose_code(
     words: set[STuple] = set()
     embedded = 0
     for size, blocks in groups.items():
-        base_rows = np.array([w._key() for w in bases[size].words], dtype=np.intp).reshape(-1, 2, k)
+        base_rows = _incidence_rows(bases[size].words, size, k, 2, 0).reshape(-1, 2, k)
         rows = np.array(blocks, dtype=np.intp)[:, base_rows].reshape(-1, 2, k)
         words.update(_canonical_words(design.v, rows))
         embedded += len(rows)

@@ -10,12 +10,12 @@ threshold test over verify_code for 2-part set-world codes.
 greedy_code builds a maximal code by reading a seeded permutation of the
 word universe, as incidence rows of the same kind, through one distance
 rule (`_greedy_fast`), in which each kept word strikes its conflicts
-through verify_code's matching test; s-tuple and q-ary universes are
-built as rows directly, without word objects.  exact_max_code is a
+through verify_code's matching test.  exact_max_code is a
 branch-and-bound clique search over the compatibility graph, which it
-builds from shared witness keys; exhaustive_max_code, a plain enumeration
-over a graph built by comparing every pair of words, is kept alongside as
-an independent oracle.
+builds from the witness keys of the universe rows; exhaustive_max_code,
+a plain enumeration over a graph built by comparing every pair of words,
+is kept alongside as an independent oracle.  Only core converts words
+and rows.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -32,10 +31,10 @@ from .bounds import asymptotic_constant, upper_bound
 from .core import (
     Code,
     ParameterError,
-    QaryWord,
     STuple,
-    _canonical_words,
-    enumerate_words,
+    _incidence_rows,
+    _row_words,
+    _universe_rows,
     qary_word_count,
     word_count,
 )
@@ -110,52 +109,6 @@ def _best_common(rows: np.ndarray, s: int) -> int:
                 best = max(best, int(_best_shares(common.reshape(s, s, -1), best).max()))
         lo = hi
     return best
-
-
-def _incidence_rows(words: list, n: int, k: int, s: int, q: int) -> np.ndarray:
-    """Each word as one row of distinct incidence ids, s parts of equal width.
-
-    A set-world part lists its elements.  A weight-k q-ary word lists its
-    support positions i and then n + i*q + u_i, so two words share
-    |supp u & supp v| + |{i : u_i = v_i != 0}| = 2k - d_H(u, v) ids; a
-    q-ary pair lists u's ids and then v's.
-    """
-    if q == 0:
-        elements = chain.from_iterable([part.elements for w in words for part in w.parts])
-        return np.fromiter(elements, dtype=np.int32).reshape(len(words), s * k)
-    members = [(w,) if s == 1 else (w.u, w.v) for w in words]
-    symbols = np.array([[m.symbols for m in ms] for ms in members], dtype=np.int32).reshape(len(words), s, n)
-    support = np.nonzero(symbols)[2].reshape(len(words), s, k).astype(np.int32)
-    values = np.take_along_axis(symbols, support, axis=2)
-    return np.concatenate([support, n + support * q + values], axis=2).reshape(len(words), 2 * s * k)
-
-
-def _universe_rows(n: int, k: int, s: int, q: int) -> np.ndarray:
-    """Incidence rows of every word of a universe, in enumeration order.
-
-    Row for row equal to _incidence_rows over enumerate_words(n, k, s)
-    (q = 0) or enumerate_qary_words(n, k, q) (s = 1), built from
-    combinations and products of ints without a word object.  Degenerate
-    parameters (s*k > n, or k > n for q-ary words) give zero rows.
-    """
-    if q:
-        support = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.int32).reshape(-1, k)
-        values = np.fromiter(chain.from_iterable(product(range(1, q), repeat=k)), dtype=np.int32).reshape(-1, k)
-        support, values = np.repeat(support, len(values), axis=0), np.tile(values, (len(support), 1))
-        return np.concatenate([support, n + support * q + values], axis=1)
-
-    def extend(prefix: tuple[int, ...], remaining: list[int]):
-        # parts are ordered by their minima: later parts use only elements above this one's first
-        if len(prefix) == s * k:
-            yield prefix
-            return
-        if len(remaining) < s * k - len(prefix):
-            return
-        for combo in combinations(remaining, k):
-            yield from extend(prefix + combo, [e for e in remaining if e > combo[0] and e not in combo])
-
-    rows = chain.from_iterable(extend((), list(range(n))))
-    return np.fromiter(rows, dtype=np.int32).reshape(-1, s * k)
 
 
 def verify_code(code: Code) -> int | float:
@@ -240,13 +193,7 @@ def greedy_code(
         stream = np.concatenate([np.empty((0, width), dtype=np.int32), *chunks])
         rows = _greedy_fast.greedy_by_distance(stream, s, width - d)
     rows = np.array(rows, dtype=np.intp).reshape(-1, width)
-    if q:  # invert _incidence_rows: support positions i, then n + i*q + symbol
-        symbols = np.zeros((len(rows), n), dtype=np.int64)
-        np.put_along_axis(symbols, rows[:, :k], rows[:, k:] - n - rows[:, :k] * q, axis=1)
-        words = [QaryWord(n, q, tuple(row)) for row in symbols.tolist()]
-    else:  # canonical rows: each part sorted, parts ordered by their first element
-        words = _canonical_words(n, rows.reshape(-1, s, k))
-    return Code(n, k, s, q, d, frozenset(words))
+    return Code(n, k, s, q, d, frozenset(_row_words(rows, n, k, s, q)))
 
 
 @dataclass
@@ -260,8 +207,8 @@ class SearchReport:
     node_budget_hit: bool = False
 
 
-def _compatibility_masks(words: list[STuple], n: int, k: int, d: int) -> list[int]:
-    """Adjacency bitsets of the distance->=d compatibility graph, from shared witnesses.
+def _compatibility_masks(rows: np.ndarray, n: int, k: int, d: int) -> list[int]:
+    """Adjacency bitsets of the distance->=d compatibility graph of pair rows, from shared witnesses.
 
     Two words are at distance <= d - 1 iff they share a witness, so the
     witness keys of all words are sorted and each group of equal keys is
@@ -272,16 +219,15 @@ def _compatibility_masks(words: list[STuple], n: int, k: int, d: int) -> list[in
     # With more witnesses per word than half the words, the key arrays
     # outgrow the pairwise comparison: (14,7,7) has 3003 keys per word and
     # peaks near 400 MB, against 30 MB pairwise.  Keys must also fit int64.
-    if 2 * len(builder.plans) > len(words) or builder.total_space >= 1 << 63:
-        return _pairwise_compatibility_masks(words, k, d)
-    a_cols = [np.array(col, dtype=np.int64) for col in zip(*(w.parts[0].elements for w in words))]
-    b_cols = [np.array(col, dtype=np.int64) for col in zip(*(w.parts[1].elements for w in words))]
-    keys = np.stack(builder.build(a_cols, b_cols), axis=1).ravel()
+    if 2 * len(builder.plans) > len(rows) or builder.total_space >= 1 << 63:
+        return _pairwise_compatibility_masks(_row_words(rows, n, k, 2, 0), k, d)
+    columns = list(rows.T.astype(np.int64, order="C"))
+    keys = np.stack(builder.build(columns[:k], columns[k:]), axis=1).ravel()
     order = np.argsort(keys)
     sorted_keys = keys[order]
     owners = (order // len(builder.plans)).tolist()
     cuts = [0, *(np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist(), len(owners)]
-    conflict = [0] * len(words)
+    conflict = [0] * len(rows)
     for lo, hi in zip(cuts, cuts[1:]):
         group = owners[lo:hi]
         mask = 0
@@ -289,7 +235,7 @@ def _compatibility_masks(words: list[STuple], n: int, k: int, d: int) -> list[in
             mask |= 1 << i
         for i in group:
             conflict[i] |= mask
-    full = (1 << len(words)) - 1
+    full = (1 << len(rows)) - 1
     return [full & ~mask for mask in conflict]
 
 
@@ -342,8 +288,8 @@ def exact_max_code(
     total = word_count(n, k, 2)
     if total > word_ceiling:
         raise ParameterError(f"universe has {total} words, above the ceiling {word_ceiling}")
-    words = list(enumerate_words(n, k, 2))
-    adjacency = _compatibility_masks(words, n, k, d)
+    rows = _universe_rows(n, k, 2, 0)
+    adjacency = _compatibility_masks(rows, n, k, d)
 
     best_set = _first_fit_clique(adjacency)
     best = best_set.bit_count()
@@ -389,9 +335,9 @@ def exact_max_code(
             expand(candidates & adjacency[v], size + 1, current | (1 << v))
             candidates &= ~(1 << v)
 
-    expand((1 << len(words)) - 1, 0, 0)
-    chosen = frozenset(words[i] for i in range(len(words)) if best_set >> i & 1)
-    code = Code(n, k, 2, 0, d, chosen)
+    expand((1 << len(rows)) - 1, 0, 0)
+    chosen = [i for i in range(len(rows)) if best_set >> i & 1]
+    code = Code(n, k, 2, 0, d, frozenset(_row_words(rows[chosen], n, k, 2, 0)))
     optimal = not (stop_wall or stop_nodes)
     return SearchReport(
         best_code=code,
@@ -407,7 +353,7 @@ def exhaustive_max_code(n: int, k: int, d: int, word_ceiling: int = 2_000) -> in
     total = word_count(n, k, 2)
     if total > word_ceiling:
         raise ParameterError(f"universe has {total} words, above the ceiling {word_ceiling}")
-    words = list(enumerate_words(n, k, 2))
+    words = _row_words(_universe_rows(n, k, 2, 0), n, k, 2, 0)
     adjacency = _pairwise_compatibility_masks(words, k, d)
     best = 0
 

@@ -1,11 +1,11 @@
 """Differential tests for the trusted construction path.
 
-compose_code, greedy_code, orbit_code and multi_orbit_code build their
-words from canonical rows through `core._canonical_words`, which skips
-validation.  Each call site is compared here with the validated path it
-replaced: every word must equal its `canonicalize`-built twin with the
-same hash, masks and key, hold only Python ints, and serialize to the
-same bytes.
+compose_code, greedy_code, orbit_code, multi_orbit_code, enumerate_words
+and exact_max_code build their words from canonical rows through
+`core._canonical_words`, which skips validation.  Each call site is
+compared here with the validated path it replaced: every word must equal
+its `canonicalize`-built twin with the same hash, masks and key, hold
+only Python ints, and serialize to the same bytes.
 """
 
 import random
@@ -29,6 +29,8 @@ from ekcodes import (
     code_to_json,
     compose_code,
     develop_difference_set,
+    enumerate_words,
+    exact_max_code,
     greedy_code,
     multi_orbit_code,
     orbit_code,
@@ -186,6 +188,24 @@ def test_greedy_pairs_match_canonicalize(n, k, d, mode):
         rows = [(row[:k], row[k:]) for row in _greedy_fast.greedy_by_distance(stream, 2, 2 * k - d).tolist()]
     reference = {canonicalize([a, b], n, k) for a, b in rows}
     assert len(reference) == len(rows)
+    _assert_same_words(code, reference)
+
+
+# ------------------------------------------------------------------ enumeration and exact search
+
+
+@pytest.mark.parametrize("n, k, s", [(9, 3, 1), (70, 1, 2), (8, 2, 2), (9, 2, 3), (8, 2, 4), (9, 1, 4)])
+def test_enumerate_words_matches_canonicalize(n, k, s):
+    words = list(enumerate_words(n, k, s))
+    assert len(words) == core.word_count(n, k, s)
+    _assert_same_words(Code(n, k, s, 0, 1, frozenset(words)), {canonicalize(w.as_lists(), n, k) for w in words})
+
+
+@pytest.mark.parametrize("n, k, d", [(9, 2, 3), (8, 2, 2), (7, 1, 1), (10, 3, 4), (70, 1, 2)])
+def test_exact_best_code_matches_canonicalize(n, k, d):
+    code = exact_max_code(n, k, d, node_budget=2_000).best_code
+    reference = {canonicalize(w.as_lists(), n, k) for w in code.words}
+    assert len(reference) == len(code) > 0
     _assert_same_words(code, reference)
 
 

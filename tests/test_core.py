@@ -1,11 +1,13 @@
 import json
 import math
-from itertools import permutations
+import warnings
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ekcodes import core
 from ekcodes import (
     Code,
     DegenerateParametersWarning,
@@ -110,6 +112,52 @@ def test_enumerate_trivial_cases():
     assert [w.as_lists() for w in enumerate_words(2, 1, 2)] == [[[0], [1]]]
     words = [w.as_lists() for w in enumerate_words(4, 2, 2)]
     assert words == [[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]]]
+
+
+def _count_conversions(monkeypatch):
+    """Record the number of words each core._row_words call builds."""
+    converted = []
+    real = core._row_words
+
+    def counting(rows, *args):
+        words = real(rows, *args)
+        converted.append(len(words))
+        return words
+
+    monkeypatch.setattr(core, "_row_words", counting)
+    return converted
+
+
+def test_enumerators_convert_one_block_for_the_first_word(monkeypatch):
+    converted = _count_conversions(monkeypatch)
+    assert list(islice(enumerate_words(36, 2, 2), 1)) == [canonicalize([[0, 1], [2, 3]], 36)]
+    assert len(converted) == 1 and converted[0] <= core._ROW_BLOCK < word_count(36, 2, 2)
+    converted.clear()
+    assert list(islice(enumerate_qary_words(30, 3, 3), 1)) == [QaryWord(30, 3, (1, 1, 1) + (0,) * 27)]
+    assert len(converted) == 1 and converted[0] <= core._ROW_BLOCK < qary_word_count(30, 3, 3)
+
+
+def test_degenerate_enumeration_warns_and_yields_nothing(monkeypatch):
+    converted = _count_conversions(monkeypatch)
+    for n, k, s in ((5, 2, 3), (0, 1, 1), (7, 4, 2)):
+        with pytest.warns(DegenerateParametersWarning):
+            assert list(enumerate_words(n, k, s)) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(enumerate_qary_words(3, 4, 2)) == []
+    assert converted == []
+
+
+@pytest.mark.parametrize("k, s", [(0, 2), (2, 0), (-1, 1), (1, -2)])
+def test_enumeration_rejects_empty_parts_or_words(k, s):
+    with pytest.raises(ParameterError):
+        list(enumerate_words(6, k, s))
+
+
+def test_qary_enumeration_rejects_bad_parameters():
+    for k, q in ((-1, 3), (2, 1)):
+        with pytest.raises(ParameterError):
+            list(enumerate_qary_words(6, k, q))
 
 
 def test_ksubset_validation():

@@ -5,7 +5,8 @@ stream against unrank -> lift -> drop the mirrored copies, the Feistel
 chunks against four full-domain rounds followed by the `< m` filter, the
 witness key columns against one encoding per plan, the threshold-matching
 tail against the Hungarian method and the permutation oracle, and the
-direct universe rows against the rows of enumerated word objects.
+universe rows and the enumerators built on them against a brute-force
+enumeration through the public constructors.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import math
 import random
 import threading
 import warnings
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
-from ekcodes import _greedy_fast, metric, search
+from ekcodes import QaryWord, _greedy_fast, canonicalize, core, metric
 from ekcodes.core import enumerate_qary_words, enumerate_words, word_count
 from ekcodes.metric import _min_cost_matching
 from ekcodes.search import greedy_code
@@ -233,21 +234,49 @@ def _universe_cases():
                 if word_count(n, k, s) <= 20_000:
                     yield n, k, s, 0
     for q in (2, 3, 4):
-        for k in (1, 2, 3):
+        for k in (0, 1, 2, 3):
             for n in range(max(0, k - 2), k + 4):
                 yield n, k, 1, q
 
 
+def _disjoint_combinations(parts, s):
+    """The s-combinations of `parts` whose members are pairwise disjoint, in lex order."""
+    if s == 0:
+        yield ()
+        return
+    for i, part in enumerate(parts):
+        rest = [other for other in parts[i + 1 :] if set(other).isdisjoint(part)]
+        for tail in _disjoint_combinations(rest, s - 1):
+            yield (part, *tail)
+
+
+def _brute_universe(n, k, s, q):
+    """Oracle: every word of a universe in enumeration order, built through the public constructors."""
+    if q:
+        rows = [row for row in product(range(q), repeat=n) if n - row.count(0) == k]
+        rows.sort(key=lambda row: ([i for i, x in enumerate(row) if x], [x for x in row if x]))
+        return [QaryWord(n, q, row) for row in rows]
+    if s * k > n:  # no s disjoint parts fit
+        return []
+    return [canonicalize(combo, n, k) for combo in _disjoint_combinations(list(combinations(range(n), k)), s)]
+
+
 @pytest.mark.parametrize("n,k,s,q", list(_universe_cases()))
 def test_universe_rows_match_enumerated_words(n, k, s, q):
+    expected = _brute_universe(n, k, s, q)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degenerate enumerations warn
         words = list(enumerate_qary_words(n, k, q) if q else enumerate_words(n, k, s))
-    expected = search._incidence_rows(words, n, k, s, q)
-    got = search._universe_rows(n, k, s, q)
-    assert got.dtype == expected.dtype
-    assert got.shape == expected.shape == (len(words), 2 * k if q else s * k)
-    np.testing.assert_array_equal(got, expected)
+    assert words == expected
+    got = core._universe_rows(n, k, s, q)
+    assert got.dtype == np.int32
+    assert got.shape == (len(expected), 2 * k if q else s * k)
+    np.testing.assert_array_equal(got, core._incidence_rows(expected, n, k, s, q))
+
+
+def test_weight_zero_universe_is_one_word():
+    assert core._universe_rows(3, 0, 1, 2).shape == (1, 0)
+    assert list(enumerate_qary_words(3, 0, 2)) == [QaryWord(3, 2, (0, 0, 0))]
 
 
 @pytest.mark.parametrize(

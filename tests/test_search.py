@@ -35,7 +35,7 @@ from ekcodes import (
     witness_set,
     word_count,
 )
-from ekcodes import _greedy_fast, metric, search
+from ekcodes import _greedy_fast, core, metric, search
 
 
 def test_verify_orbit_codes():
@@ -418,7 +418,7 @@ def test_greedy_large_tuple_code_is_pinned():
 def test_greedy_by_distance_independent_of_chunk():
     for n, k, d, seed in ((9, 2, 3, 4), (10, 2, 4, 11), (7, 1, 2, 5)):
         universe = list(enumerate_words(n, k, 3))
-        table = search._incidence_rows(universe, n, k, 3, 0)
+        table = core._incidence_rows(universe, n, k, 3, 0)
         runs = []
         for chunk in (1, 7, _greedy_fast._CHUNK):
             rows = table[np.concatenate(list(_greedy_fast._permuted_chunks(len(table), seed, chunk)))]
@@ -568,9 +568,10 @@ def test_ratio_experiment_table():
 )
 def test_witness_graph_matches_pairwise_graph(k, n_values):
     for n in n_values:
+        rows = core._universe_rows(n, k, 2, 0)
         words = list(enumerate_words(n, k, 2))
         for d in range(1, 2 * k + 1):
-            assert search._compatibility_masks(words, n, k, d) == (
+            assert search._compatibility_masks(rows, n, k, d) == (
                 search._pairwise_compatibility_masks(words, k, d)
             ), (n, k, d)
 
@@ -580,7 +581,7 @@ def test_exact_rejects_bad_distance_before_building(monkeypatch, d):
     def unreachable(*args):
         raise AssertionError("words enumerated or graph built for a bad d")
 
-    monkeypatch.setattr(search, "enumerate_words", unreachable)
+    monkeypatch.setattr(search, "_universe_rows", unreachable)
     monkeypatch.setattr(search, "_compatibility_masks", unreachable)
     with pytest.raises(ParameterError, match="need 1 <= d <= 2k <= n"):
         exact_max_code(8, 2, d)
