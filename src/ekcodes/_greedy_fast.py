@@ -9,7 +9,8 @@ their universe's incidence rows.  greedy_by_distance keeps the first
 live row of the stream and strikes, in one numpy pass, every later row
 closer than d to it, through verify_code's matching test; for pairs,
 greedy_pairs accepts the same words by claiming witnesses as integer
-keys in a dense array.  Every word is examined, so the output is maximal.
+keys in a dense array (claim_greedy, which greedy_packing shares).
+Every word is examined, so the output is maximal.
 
 Universes beyond the in-memory shuffle cap are permuted by a Feistel
 network on the index space (images >= M are skipped, which still visits
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -139,7 +140,8 @@ def _lex_columns(n: int, k: int) -> list[np.ndarray]:
 
     Unranking a stream index is then one gather per column.
     """
-    table = np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(-1, k)
+    flat = chain.from_iterable(combinations(range(n), k))
+    table = np.fromiter(flat, dtype=np.int64, count=math.comb(n, k) * k).reshape(-1, k)
     return [np.ascontiguousarray(col) for col in table.T]
 
 
@@ -230,37 +232,42 @@ def _rows(cols: list[np.ndarray], picks) -> list[tuple[int, ...]]:
     return list(zip(*(c[picks].tolist() for c in cols)))
 
 
-def greedy_pairs(n: int, k: int, d: int, seed: int, chunk: int = _CHUNK):
-    """Witness-claim greedy over the stream; returns accepted (a_tuple, b_tuple) rows.
+def claim_greedy(keys: list[np.ndarray], claimed: np.ndarray) -> list[int]:
+    """Keep each row, in order, whose keys key[i] are all unclaimed; return the kept indices.
 
-    Each chunk is screened in slices of 256 words, doubling up to `chunk`.
-    The words a slice leaves unblocked can only collide with claims made
-    inside that slice, so they are resolved one by one against those.
+    A kept row marks its keys in `claimed`.  Rows are screened in slices
+    of 256, doubling.  The rows a slice leaves unblocked can only collide
+    with claims made inside that slice, so they are resolved one by one.
     """
+    size = len(keys[0])
+    hits: list[int] = []
+    lo, step = 0, 256
+    while lo < size:
+        hi = min(lo + step, size)
+        blocked = claimed[keys[0][lo:hi]]
+        for key in keys[1:]:
+            blocked |= claimed[key[lo:hi]]
+        free = np.flatnonzero(~blocked) + lo
+        lo, step = hi, 2 * step
+        if not free.size:
+            continue
+        taken: set[int] = set()
+        for i, row in zip(free.tolist(), _rows(keys, free)):
+            if taken.isdisjoint(row):
+                taken.update(row)
+                hits.append(i)
+        claimed[list(taken)] = True
+    return hits
+
+
+def greedy_pairs(n: int, k: int, d: int, seed: int, chunk: int = _CHUNK):
+    """Witness-claim greedy over the stream; returns accepted (a_tuple, b_tuple) rows."""
     builder = _KeyBuilder(n, k, d)
     claimed = np.zeros(builder.total_space, dtype=bool)
     accepted: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for a_cols, b_cols in _stream_words(n, k, seed, chunk):
-        keys = builder.build(a_cols, b_cols)
-        size = len(keys[0])
-        lo, step = 0, 256
-        while lo < size:
-            hi = min(lo + step, size)
-            blocked = claimed[keys[0][lo:hi]]
-            for key in keys[1:]:
-                blocked |= claimed[key[lo:hi]]
-            free = np.flatnonzero(~blocked) + lo
-            lo, step = hi, min(2 * step, chunk)
-            if not free.size:
-                continue
-            taken: set[int] = set()
-            hits = []
-            for i, row in zip(free.tolist(), _rows(keys, free)):
-                if taken.isdisjoint(row):
-                    taken.update(row)
-                    hits.append(i)
-            claimed[list(taken)] = True
-            accepted.extend(zip(_rows(a_cols, hits), _rows(b_cols, hits)))
+        hits = claim_greedy(builder.build(a_cols, b_cols), claimed)
+        accepted.extend(zip(_rows(a_cols, hits), _rows(b_cols, hits)))
     return accepted
 
 

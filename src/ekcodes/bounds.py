@@ -38,14 +38,6 @@ def _report(value: Fraction, kind: str, split: tuple[int, int] | None = None) ->
     return BoundReport(value, math.floor(value), split, kind)
 
 
-def _falling(top: int, low: int) -> int:
-    """top * (top-1) * ... * low; empty products (low > top) are 1."""
-    out = 1
-    for j in range(low, top + 1):
-        out *= j
-    return out
-
-
 def packing_bound(v: int, k: int, t: int) -> BoundReport:
     """Counting bound on packings: P(v, k, t) <= C(v, t) / C(k, t)."""
     if not v >= k >= t >= 1:
@@ -64,14 +56,10 @@ def upper_bound(n: int, k: int, d: int) -> BoundReport:
     """Product-form upper bound on C(n, k, d).
 
     Exact value (1/2) * n(n-1)...(n-2k+d) / (k(k-1)...ceil((d+1)/2) *
-    k(k-1)...floor((d+1)/2)); empty denominator chains are 1.  The split
-    recorded is the balanced one, which minimizes the split-form bound.
+    k(k-1)...floor((d+1)/2)); empty denominator chains are 1.  This is
+    the split form at the balanced split, which minimizes it.
     """
-    if not 1 <= d <= 2 * k or 2 * k > n:
-        raise ParameterError(f"need 1 <= d <= 2k <= n, got ({n},{k},{d})")
-    num = math.prod(n - i for i in range(2 * k - d + 1))
-    den = 2 * _falling(k, math.ceil((d + 1) / 2)) * _falling(k, (d + 1) // 2)
-    return _report(Fraction(num, den), KIND_UPPER, balanced_split(k, d))
+    return upper_bound_split(n, k, d, *balanced_split(k, d))
 
 
 def upper_bound_split(n: int, k: int, d: int, u: int, v: int) -> BoundReport:
@@ -192,8 +180,8 @@ def asymptotic_constant(
     if variant == "pair":
         if not 1 <= d <= 2 * k:
             raise ParameterError(f"theorem does not apply: need 1 <= d <= 2k, got d={d}, k={k}")
-        den = _falling(k, math.ceil((d + 1) / 2)) * _falling(k, (d + 1) // 2)
-        return Fraction(1, 2 * den)
+        u, v = balanced_split(k, d)  # the leading coefficient of upper_bound's split form
+        return Fraction(1, 2 * math.perm(k, u) * math.perm(k, v))
     if variant == "stuple":
         if s is None or s < 1:
             raise ParameterError("stuple variant needs s >= 1")

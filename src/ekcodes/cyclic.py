@@ -7,6 +7,10 @@ distinct, and (iii) no cross distance equals m/2.  Equivalently, all
 within-set and all cross directed differences are distinct.  Translating
 such a pair around the circle yields m words with pairwise transportation
 distance >= 2k-1.
+
+Every residue search (this one and designs.planar_difference_set) walks
+the one tree of _extensions, and _replay builds each start node, so a
+checkpoint node the tree never reaches is refused before any search.
 """
 
 from __future__ import annotations
@@ -183,22 +187,23 @@ def _distance_bits(m: int) -> list[int]:
     return [1 << min(r, m - r) for r in range(m)]
 
 
-def _node(s: tuple[int, ...], t: tuple[int, ...], m: int, bits: list[int]) -> _Node:
-    """A partial pair with its used-distance masks, derived from scratch.
+def _replay(s: tuple[int, ...], t: tuple[int, ...], k: int, m: int, bits: list[int]) -> _Node | None:
+    """The tree node of the partial pair (S, T), or None if the tree never reaches it.
 
-    Both masks are seeded with the m/2 bit when m is even, so that distance
-    is never admitted as a new within or cross distance.
+    The root is S = (0,), T = (), with both masks seeded with the m/2 bit
+    when m is even, so that distance is never admitted as a new one.  Each
+    later element must name a child under _extensions of the node before it.
     """
     seed = bits[m // 2] if m % 2 == 0 else 0
-    within = cross = seed
-    for group in (s, t):
-        for i, a in enumerate(group):
-            for b in group[i + 1 :]:
-                within |= bits[b - a]
-    for a in s:
-        for b in t:
-            cross |= bits[b - a]
-    return s, t, within, cross
+    if not s or s[0] != 0 or len(t) > k:
+        return None
+    node = ((0,), (), seed, seed)
+    for i in range(2, len(s) + len(t) + 1):
+        target = (s[:i], ()) if i <= len(s) else (s, t[: i - len(s)])
+        node = next((c for c in _extensions(node, k, m, bits) if c[:2] == target), None)
+        if node is None:
+            return None
+    return node
 
 
 def _extensions(node: _Node, k: int, m: int, bits: list[int]) -> list[_Node]:
@@ -266,7 +271,8 @@ def search_antagonistic(
     When `checkpoint` names an existing nonempty file, the search resumes
     from the partial assignments listed there: a {"k", "m"} header line,
     then one JSON object per frontier node.  A file written for other
-    parameters, or without a header, is refused.  On a budget stop the
+    parameters, without a header, or listing a node the tree never reaches
+    is refused, and left as it was.  On a budget stop the
     unexplored frontier is written back to it through a temporary file
     and an atomic rename; an exhausted search leaves it empty.
     """
@@ -281,7 +287,10 @@ def search_antagonistic(
     saved = ckpt.read_text(encoding="utf-8") if ckpt is not None and ckpt.exists() else ""
     lines = [line for line in saved.splitlines() if line.strip()]
     if lines:
-        header = json.loads(lines[0])
+        try:
+            header = json.loads(lines[0])
+        except ValueError:
+            header = None
         if not isinstance(header, dict) or set(header) != {"k", "m"}:
             raise ParameterError(f"checkpoint {ckpt} has no (k, m) header; refusing to resume")
         if (header["k"], header["m"]) != (k, m):
@@ -291,14 +300,17 @@ def search_antagonistic(
             )
         stack = []
         for line in lines[1:]:
-            obj = json.loads(line)
-            s, t = tuple(obj["S"]), tuple(obj["T"])
-            if not all(0 <= x < m for x in s + t):
-                raise ParameterError(f"checkpoint {ckpt} lists residues outside [0, {m})")
-            stack.append(_node(s, t, m, bits))
+            try:
+                obj = json.loads(line)
+                node = _replay(tuple(obj["S"]), tuple(obj["T"]), k, m, bits)
+            except (ValueError, KeyError, TypeError):  # not an {"S": [...], "T": [...]} object
+                node = None
+            if node is None:
+                raise ParameterError(f"checkpoint {ckpt} lists a node outside the ({k}, {m}) tree: {line}")
+            stack.append(node)
         stack.reverse()  # file lists frontier top-first
     else:
-        stack = [_node((0,), (), m, bits)]
+        stack = [_replay((0,), (), k, m, bits)]
 
     found: dict[tuple[tuple[int, ...], tuple[int, ...]], CyclicGeneratorPair] = {}
     nodes = 0

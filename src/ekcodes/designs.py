@@ -4,13 +4,15 @@ A (v, K, t)-packing covers every t-subset of the point set at most once;
 a design covers each exactly once.  Packings with t = 2k-d+1 let codes on
 the blocks combine into one code on [v]: words in different blocks share
 at most t-1 = 2k-d points, which already forces distance >= d.
+
+The searches and greedies here run on the engines of cyclic
+(_extensions) and _greedy_fast (_permuted_chunks, claim_greedy).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -20,7 +22,9 @@ from typing import Mapping
 
 import numpy as np
 
+from ._greedy_fast import _CHUNK, _lex_columns, _permuted_chunks, _rows, claim_greedy
 from .core import Code, ParameterError, STuple, _canonical_words, _incidence_rows
+from .cyclic import _distance_bits, _extensions, _replay
 
 _VERIFY_T_SUBSET_CAP = 5_000_000
 _GREEDY_BLOCK_CAP = 2_000_000
@@ -60,6 +64,18 @@ class DesignVerification:
     covered: int = 0
 
 
+def _colex_ranks(subsets: np.ndarray, v: int) -> np.ndarray:
+    """Colex ranks sum_i C(x_i, i + 1) of sorted t-subsets of [0, v), given as ints (..., t).
+
+    Position i holds only x in [i, v - t + i], where every term is below C(v, t).
+    """
+    t = subsets.shape[-1]
+    table = np.zeros((v, t), dtype=np.int64)
+    for i in range(t):
+        table[i : v - t + i + 1, i] = [math.comb(x, i + 1) for x in range(i, v - t + i + 1)]
+    return table[subsets, np.arange(t)].sum(axis=-1)
+
+
 def verify_design(design: BlockDesign) -> DesignVerification:
     """Exhaustively count t-subset coverage and label the block family.
 
@@ -85,11 +101,6 @@ def verify_design(design: BlockDesign) -> DesignVerification:
         starts.append(starts[-1] + math.comb(len(block), t))
     used = len(starts) - 1
     ranks = np.empty(starts[-1], dtype=np.int64)
-    # rank of a sorted t-subset x: sum over i of C(x_i, i + 1); position i
-    # holds only x in [i, v - t + i], where every term is below C(v, t)
-    table = np.zeros((v, t), dtype=np.int64)
-    for i in range(t):
-        table[i : v - t + i + 1, i] = [math.comb(x, i + 1) for x in range(i, v - t + i + 1)]
     by_size: dict[int, list[int]] = {}
     for index in range(used):
         by_size.setdefault(len(blocks[index]), []).append(index)
@@ -99,7 +110,7 @@ def verify_design(design: BlockDesign) -> DesignVerification:
         combos = np.array(list(combinations(range(size), t)), dtype=np.intp)
         subsets = np.array([blocks[i] for i in indices], dtype=np.intp)[:, combos]
         positions = np.array([starts[i] for i in indices])[:, None] + np.arange(len(combos))
-        ranks[positions] = table[subsets, np.arange(t)].sum(axis=2)
+        ranks[positions] = _colex_ranks(subsets, v)
     order = np.argsort(ranks, kind="stable")
     ordered = ranks[order]
     repeats = order[1:][ordered[1:] == ordered[:-1]]
@@ -162,47 +173,23 @@ def zero_sum_quadruples(r: int) -> BlockDesign:
 def planar_difference_set(q: int) -> tuple[int, ...] | None:
     """Search for q+1 residues mod q^2+q+1 with all nonzero differences distinct.
 
-    Backtracking over increasing residues; {0, 1} is fixed without loss
-    of generality (any solution can be translated to contain a pair at
-    difference 1).  Returns None when the full tree exhausts without a
-    solution, which is the expected outcome for orders with no projective
-    plane.
+    At odd m, distinct circular distances are distinct differences, so
+    this walks the S phase of the antagonistic tree with k = q+1 from
+    S = {0, 1} (any solution translates to contain a difference 1).
+    Returns None when the tree exhausts, as for orders with no plane.
     """
     if q < 2:
         raise ParameterError(f"need q >= 2, got {q}")
     m = q * q + q + 1
     size = q + 1
-    used = bytearray(m)
-    chosen = [0, 1]
-    used[1] = 1
-    used[m - 1] = 1
-
-    def extend(last: int) -> bool:
-        if len(chosen) == size:
-            return True
-        for e in range(last + 1, m):
-            marked = []
-            ok = True
-            for x in chosen:
-                d1 = (e - x) % m
-                d2 = (x - e) % m
-                if used[d1] or used[d2]:
-                    ok = False
-                    break
-                used[d1] = 1
-                used[d2] = 1
-                marked.append((d1, d2))
-            if ok:
-                chosen.append(e)
-                if extend(e):
-                    return True
-                chosen.pop()
-            for d1, d2 in marked:
-                used[d1] = 0
-                used[d2] = 0
-        return False
-
-    return tuple(chosen) if extend(1) else None
+    bits = _distance_bits(m)
+    stack = [_replay((0, 1), (), size, m, bits)]
+    while stack:
+        node = stack.pop()
+        if len(node[0]) == size:
+            return node[0]
+        stack.extend(reversed(_extensions(node, size, m, bits)))
+    return None
 
 
 def develop_difference_set(base: tuple[int, ...] | list[int], m: int) -> BlockDesign:
@@ -215,22 +202,24 @@ def develop_difference_set(base: tuple[int, ...] | list[int], m: int) -> BlockDe
 
 
 def greedy_packing(v: int, p: int, t: int, seed: int) -> BlockDesign:
-    """Random-order greedy (v, p, t)-packing; deterministic given seed."""
-    if not v >= p >= t >= 1:
-        raise ParameterError(f"need v >= p >= t >= 1, got ({v},{p},{t})")
+    """Seeded greedy (v, p, t)-packing over the p-subsets' lex ranks in _permuted_chunks order.
+
+    A block is kept iff none of its t-subsets (claimed as colex ranks) is
+    covered yet.  Chunks hold at most _CHUNK keys; the order ignores chunking.
+    """
+    if not v >= p >= t >= 1 or seed < 0:
+        raise ParameterError(f"need v >= p >= t >= 1 and seed >= 0, got ({v},{p},{t}), seed {seed}")
     if math.comb(v, p) > _GREEDY_BLOCK_CAP:
         raise ParameterError(f"C({v},{p}) exceeds the greedy candidate cap {_GREEDY_BLOCK_CAP}")
-    rng = random.Random(seed)
-    candidates = list(combinations(range(v), p))
-    rng.shuffle(candidates)
-    covered: set[tuple[int, ...]] = set()
-    blocks = []
-    for block in candidates:
-        subs = list(combinations(block, t))
-        if any(sub in covered for sub in subs):
-            continue
-        covered.update(subs)
-        blocks.append(block)
+    lex = _lex_columns(v, p)
+    combos = list(combinations(range(p), t))
+    claimed = np.zeros(math.comb(v, t), dtype=bool)
+    blocks: list[tuple[int, ...]] = []
+    for ids in _permuted_chunks(math.comb(v, p), seed, max(1, _CHUNK // len(combos))):
+        cols = [col[ids] for col in lex]
+        rows = np.stack(cols, axis=-1)
+        hits = claim_greedy([_colex_ranks(rows[:, combo], v) for combo in combos], claimed)
+        blocks.extend(_rows(cols, hits))
     return BlockDesign(v=v, t=t, blocks=tuple(blocks), kind_claim="packing")
 
 

@@ -55,6 +55,23 @@ def test_upper_bound_d2k_is_n_over_2k(n):
         assert upper_bound(n, k, 2 * k).exact_value == Fraction(n, 2 * k)
 
 
+def _product_form(n, k, d):
+    """Oracle: the upper_bound docstring's product form, as a Fraction."""
+    num = math.prod(range(n - 2 * k + d, n + 1))
+    den = math.prod(range(math.ceil((d + 1) / 2), k + 1)) * math.prod(range((d + 1) // 2, k + 1))
+    return Fraction(num, 2 * den)
+
+
+def test_upper_bound_is_the_product_form():
+    for n in range(2, 40):
+        for k in range(1, n // 2 + 1):
+            for d in range(1, 2 * k + 1):
+                bound = upper_bound(n, k, d)
+                assert bound.exact_value == _product_form(n, k, d), (n, k, d)
+                assert bound.floor_value == math.floor(bound.exact_value)
+                assert bound.realizing_split == balanced_split(k, d)
+
+
 def test_balanced_split_examples():
     assert balanced_split(2, 3) == (1, 1)
     assert balanced_split(2, 4) == (0, 1)

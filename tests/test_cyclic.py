@@ -226,11 +226,45 @@ def test_search_checkpoint_without_header_is_refused(tmp_path):
         search_antagonistic(3, 19, checkpoint=ckpt)
 
 
+def test_search_checkpoint_with_a_header_that_is_not_json_is_refused(tmp_path):
+    ckpt = tmp_path / "frontier.txt"
+    ckpt.write_text('k=3, m=19\n{"S": [0], "T": []}\n')
+    with pytest.raises(ParameterError, match="no \\(k, m\\) header"):
+        search_antagonistic(3, 19, checkpoint=ckpt)
+
+
 def test_search_checkpoint_with_foreign_residues_is_refused(tmp_path):
     ckpt = tmp_path / "frontier.txt"
     ckpt.write_text('{"k": 3, "m": 19}\n{"S": [0, 40], "T": []}\n')
     with pytest.raises(ParameterError, match="outside"):
         search_antagonistic(3, 19, checkpoint=ckpt)
+
+
+@pytest.mark.parametrize(
+    "k,m,line",
+    [
+        (2, 20, '{"S": [0, 10], "T": []}'),  # within distance m/2
+        (3, 31, '{"S": [0, 1, 2], "T": []}'),  # within distance 1 twice
+        (2, 20, '{"S": [3, 0], "T": []}'),  # unsorted, and min(S) != 0
+        (2, 9, '{"S": [0, 1], "T": [2, 3]}'),  # cross distance 1 twice
+        (2, 9, '{"S": [0, 1], "T": [3, 5, 7]}'),  # more than k elements of T
+        (2, 9, '{"S": [0], "T": [4]}'),  # T begun before S is full
+        (2, 9, '{"S": [0]}'),  # no T
+        (2, 9, "[0, 1]"),  # not an object
+        (2, 9, "S=0,1"),  # not JSON
+    ],
+)
+def test_search_checkpoint_refuses_nodes_outside_the_tree(tmp_path, k, m, line):
+    ckpt = tmp_path / "frontier.txt"
+    saved = json.dumps({"k": k, "m": m}) + "\n" + json.dumps({"S": [0], "T": []}) + "\n"
+    ckpt.write_text(saved + line + "\n")
+    before = ckpt.read_text()
+    with pytest.raises(ParameterError, match="outside"):
+        search_antagonistic(k, m, checkpoint=ckpt)
+    assert ckpt.read_text() == before
+    assert not list(tmp_path.glob("*.tmp"))
+    ckpt.write_text(saved)  # the root alone resumes into the full tree
+    assert _tree(search_antagonistic(k, m, checkpoint=ckpt)) == _tree(search_antagonistic(k, m))
 
 
 def test_every_small_search_find_yields_valid_orbit_code():

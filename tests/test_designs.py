@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import combinations
 
 import pytest
 
@@ -23,6 +24,7 @@ from ekcodes import (
     verify_design,
     zero_sum_quadruples,
 )
+from ekcodes._greedy_fast import _permuted_chunks
 from ekcodes.cyclic import CyclicGeneratorPair
 
 
@@ -79,10 +81,21 @@ def test_zero_sum_quadruples_match_packing_bound():
     assert len(design.blocks) == packing_bound(8, 4, 3).floor_value == 14
 
 
-@pytest.mark.parametrize("q,m", [(2, 7), (3, 13), (4, 21), (5, 31), (8, 73)])
-def test_planar_difference_set_found_and_develops(q, m):
+PLANAR_SETS = [
+    (2, 7, (0, 1, 3)),
+    (3, 13, (0, 1, 3, 9)),
+    (4, 21, (0, 1, 4, 14, 16)),
+    (5, 31, (0, 1, 3, 8, 12, 18)),
+    (7, 57, (0, 1, 3, 13, 32, 36, 43, 52)),
+    (8, 73, (0, 1, 3, 7, 15, 31, 36, 54, 63)),
+    (9, 91, (0, 1, 3, 9, 27, 49, 56, 61, 77, 81)),
+]
+
+
+@pytest.mark.parametrize("q,m,expected", PLANAR_SETS, ids=[f"{q}-{m}" for q, m, _ in PLANAR_SETS])
+def test_planar_difference_set_found_and_develops(q, m, expected):
     found = planar_difference_set(q)
-    assert found is not None and len(found) == q + 1
+    assert found == expected  # the first set in increasing-residue tree order
     diffs = {(a - b) % m for a in found for b in found if a != b}
     assert len(diffs) == q * (q + 1)  # all nonzero differences distinct
     developed = develop_difference_set(found, m)
@@ -129,6 +142,35 @@ def test_greedy_packing_t_equals_p():
 
 def test_greedy_packing_deterministic():
     assert greedy_packing(9, 3, 2, 5).blocks == greedy_packing(9, 3, 2, 5).blocks
+
+
+def _greedy_packing_oracle(v, p, t, seed):
+    """Per block, in the same seeded order: keep it iff no t-subset of it is covered yet."""
+    candidates = list(combinations(range(v), p))
+    covered = set()
+    blocks = []
+    for ids in _permuted_chunks(math.comb(v, p), seed, 1000):
+        for block in (candidates[i] for i in ids.tolist()):
+            subs = list(combinations(block, t))
+            if covered.isdisjoint(subs):
+                covered.update(subs)
+                blocks.append(block)
+    return tuple(sorted(blocks))
+
+
+@pytest.mark.parametrize(
+    "v,p,t", [(6, 3, 3), (7, 3, 2), (9, 3, 2), (8, 4, 3), (10, 4, 2), (10, 5, 3), (12, 4, 4), (13, 2, 1)]
+)
+def test_greedy_packing_matches_per_block_oracle(v, p, t):
+    for seed in (0, 1, 7, 2**40):
+        packing = greedy_packing(v, p, t, seed)
+        assert packing.blocks == _greedy_packing_oracle(v, p, t, seed), seed
+        assert verify_design(packing).label in ("packing", "design")
+
+
+def test_greedy_packing_refuses_negative_seed():
+    with pytest.raises(ParameterError, match="seed"):
+        greedy_packing(9, 3, 2, -1)
 
 
 def full_universe_code(n, k, d):
