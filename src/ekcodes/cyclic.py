@@ -271,10 +271,10 @@ def search_antagonistic(
     When `checkpoint` names an existing nonempty file, the search resumes
     from the partial assignments listed there: a {"k", "m"} header line,
     then one JSON object per frontier node.  A file written for other
-    parameters, without a header, or listing a node the tree never reaches
-    is refused, and left as it was.  On a budget stop the
-    unexplored frontier is written back to it through a temporary file
-    and an atomic rename; an exhausted search leaves it empty.
+    parameters, without a header, with a header alone, or listing a node
+    the tree never reaches is refused, and left as it was.  On a budget
+    stop the unexplored frontier is written back to it through a temporary
+    file and an atomic rename; an exhausted search leaves it empty.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got k={k}")
@@ -298,6 +298,8 @@ def search_antagonistic(
                 f"checkpoint {ckpt} holds a (k, m) = ({header['k']}, {header['m']}) frontier, "
                 f"not ({k}, {m})"
             )
+        if len(lines) == 1:  # a search that stops writes its frontier; one that ends, nothing
+            raise ParameterError(f"checkpoint {ckpt} holds a (k, m) header but no frontier; refusing to resume")
         stack = []
         for line in lines[1:]:
             try:

@@ -4,6 +4,9 @@ The transportation distance between two words is the minimum, over
 matchings of their parts, of the number of elements that must move.  For
 pairs this is min(|A1-B1|+|A2-B2|, |A1-B2|+|A2-B1|); for s-tuples the
 minimum runs over all part matchings (an assignment problem).
+`tuple_distance` solves it by the Hungarian method (`_min_cost_matching`);
+the batch kernel `_best_matchings` sums all s! matchings up to s = 5 and
+calls the same method above.
 
 A witness of a pair-word {A, B} at design distance d is an unordered pair
 {U, V} of disjoint sets with |U|+|V| = 2k-d+1 embedded in the word's two
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -22,6 +26,8 @@ import numpy as np
 from .core import ParameterError, QaryPairWord, QaryWord, STuple
 
 _PERMUTATION_LIMIT = 8
+_ENUMERATION_LIMIT = 5  # _best_matchings sums all s! matchings up to this s
+_MATCHING_TILE_CELLS = 1 << 20  # cells one enumeration tile may gather
 
 
 def _check_same_world(x: STuple, y: STuple) -> None:
@@ -107,53 +113,30 @@ def _min_cost_matching(cost: list[list[int]]) -> int:
     return -v[0]
 
 
+@cache
+def _matching_cells(s: int) -> np.ndarray:
+    """The s! matchings of an s x s matrix, one row each of flat cells i*s + p(i)."""
+    return np.array(list(permutations(range(s)))) + s * np.arange(s)
+
+
 def _best_matchings(weights: np.ndarray) -> np.ndarray:
     """Maximum-weight perfect matching of each s x s matrix in a batch.
 
-    Above s = 3, the Hungarian method by shortest augmenting paths, as in
-    `_min_cost_matching`, run on the whole batch at once: each step grows
-    every unfinished path by one column (a finished one idles), so a batch
-    of any size takes O(s^2) numpy steps.  Costs are the negated weights,
-    and -v[0] ends as the cheapest cost, so v[0] is the best weight.
+    Up to s = 5, the best of the s! matchings, summed over their cells in
+    tiles that gather at most `_MATCHING_TILE_CELLS` cells each.  Above,
+    the Hungarian method (`_min_cost_matching`) on each negated matrix.
     """
     batch, s, _ = weights.shape
-    if s <= 3:  # the best of the s! matchings, each summed over its cells i*s + p(i)
-        cells = np.array([[i * s + j for i, j in enumerate(p)] for p in permutations(range(s))])
-        return weights.reshape(batch, s * s).T[cells].sum(axis=1, dtype=np.int64).max(axis=0)
-    cost = np.zeros((batch, s + 1, s + 1), dtype=np.int64)
-    cost[:, 1:, 1:] = np.negative(weights, dtype=np.int64)
-    u = np.zeros((batch, s + 1), dtype=np.int64)
-    v = np.zeros_like(u)
-    match = np.zeros((batch, s + 1), dtype=np.intp)  # row held by each column; column 0 is the root
-    way = np.zeros_like(match)
-    b = np.arange(batch)
-    inf = np.iinfo(np.int64).max // 2
-    for i in range(1, s + 1):
-        match[:, 0] = i
-        col = np.zeros(batch, dtype=np.intp)
-        minv = np.full((batch, s + 1), inf)
-        used = np.zeros((batch, s + 1), dtype=bool)
-        grow = np.ones(batch, dtype=bool)
-        while grow.any():
-            used[b, col] = True
-            row = match[b, col]
-            reduced = cost[b, row] - u[b, row][:, None] - v
-            closer = grow[:, None] & ~used & (reduced < minv)
-            minv = np.where(closer, reduced, minv)
-            way = np.where(closer, col[:, None], way)
-            nxt = np.where(used, inf, minv).argmin(axis=1)
-            delta = np.where(grow, minv[b, nxt], 0)
-            held = np.nonzero(used)
-            u[held[0], match[held]] += delta[held[0]]
-            v -= np.where(used, delta[:, None], 0)
-            minv -= np.where(used, 0, delta[:, None])
-            col = np.where(grow, nxt, col)
-            grow &= match[b, col] != 0
-        while col.any():
-            back = way[b, col]
-            match[b, col] = np.where(col != 0, match[b, back], match[b, col])
-            col = back
-    return v[:, 0]
+    if s > _ENUMERATION_LIMIT:
+        negated = np.negative(weights, dtype=np.int64).tolist()
+        return np.array([-_min_cost_matching(cost) for cost in negated], dtype=np.int64)
+    cells = _matching_cells(s)
+    flat = weights.reshape(batch, s * s)
+    step = max(1, _MATCHING_TILE_CELLS // cells.size)
+    best = np.empty(batch, dtype=np.int64)
+    for lo in range(0, batch, step):
+        best[lo : lo + step] = flat[lo : lo + step, cells].sum(axis=2, dtype=np.int64).max(axis=1)
+    return best
 
 
 def _matching_bounds(common: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

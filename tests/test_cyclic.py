@@ -226,6 +226,20 @@ def test_search_checkpoint_without_header_is_refused(tmp_path):
         search_antagonistic(3, 19, checkpoint=ckpt)
 
 
+def test_search_checkpoint_with_a_header_alone_is_refused(tmp_path):
+    """A header with no frontier line is no proof of exhaustion; only an empty file starts afresh."""
+    ckpt = tmp_path / "frontier.txt"
+    ckpt.write_text('{"k": 3, "m": 19}\n')
+    before = ckpt.read_bytes()
+    with pytest.raises(ParameterError, match="header but no frontier"):
+        search_antagonistic(3, 19, checkpoint=ckpt)
+    assert ckpt.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+    ckpt.write_text("")
+    assert _tree(search_antagonistic(3, 19, checkpoint=ckpt)) == _tree(search_antagonistic(3, 19))
+    assert ckpt.read_text() == ""
+
+
 def test_search_checkpoint_with_a_header_that_is_not_json_is_refused(tmp_path):
     ckpt = tmp_path / "frontier.txt"
     ckpt.write_text('k=3, m=19\n{"S": [0], "T": []}\n')

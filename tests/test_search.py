@@ -170,14 +170,27 @@ def test_verify_pair_codes_match_brute_force(monkeypatch, tile):
     assert [c.verified_min_distance for c in codes[-3:]] == [3, 6, 8]
 
 
-def test_best_matchings_against_permutations():
-    """The batched Hungarian method against all s! matchings, s = 1 to 6."""
+def test_best_matchings_against_permutations(monkeypatch):
+    """Tiled enumeration (s <= 5) and per-matrix Hungarian (s = 6, 7) against all s! matchings."""
     rng = np.random.default_rng(3)
+
+    def expected(weights):
+        s = weights.shape[1]
+        return [max(sum(w[i][p[i]] for i in range(s)) for p in permutations(range(s))) for w in weights.tolist()]
+
     for s in range(1, 7):
         for high in (2, 5):
             weights = rng.integers(0, high, size=(60, s, s))
-            expected = [max(sum(w[i, p[i]] for i in range(s)) for p in permutations(range(s))) for w in weights]
-            assert metric._best_matchings(weights).tolist() == expected
+            assert metric._best_matchings(weights).tolist() == expected(weights)
+    weights = rng.integers(0, 5, size=(4, 7, 7))
+    assert metric._best_matchings(weights).tolist() == expected(weights)
+    for tile in (1, 500, 2000, 1 << 20):  # one matrix per tile, 5 at s = 4 or 3 at s = 5, one tile
+        monkeypatch.setattr(metric, "_MATCHING_TILE_CELLS", tile)
+        for s in range(1, 8):
+            assert metric._best_matchings(np.zeros((0, s, s), dtype=np.int64)).tolist() == []
+        for s in (4, 5):
+            weights = rng.integers(0, 5, size=(s, s, 23)).transpose(2, 0, 1)  # a view, as the kernels pass it
+            assert metric._best_matchings(weights).tolist() == expected(weights)
 
 
 def test_best_common_keeps_the_best_over_later_tiles(monkeypatch):
@@ -391,7 +404,8 @@ def test_greedy_tuples_and_qary_match_per_pair_oracle(n, k, d, s, q, seed):
 
 
 @pytest.mark.parametrize(
-    "n,k,d,s,seed", [(9, 3, 5, 3, 1), (10, 3, 5, 3, 2), (10, 3, 7, 3, 0), (12, 3, 7, 4, 1), (12, 3, 9, 4, 0)]
+    "n,k,d,s,seed",
+    [(9, 3, 5, 3, 1), (10, 3, 5, 3, 2), (10, 3, 7, 3, 0), (12, 3, 7, 4, 1), (12, 3, 9, 4, 0), (10, 2, 4, 5, 0)],
 )
 def test_greedy_with_open_matching_bounds_matches_per_pair_oracle(monkeypatch, n, k, d, s, seed):
     batches = []
