@@ -5,7 +5,7 @@ matchings of their parts, of the number of elements that must move.  For
 pairs this is min(|A1-B1|+|A2-B2|, |A1-B2|+|A2-B1|); for s-tuples the
 minimum runs over all part matchings (an assignment problem).
 `tuple_distance` solves it by the Hungarian method (`_min_cost_matching`);
-the batch kernel `_best_matchings` sums all s! matchings up to s = 5 and
+the batch kernel `_best_matchings` sums all s! matchings up to s = 6 and
 calls the same method above.
 
 A witness of a pair-word {A, B} at design distance d is an unordered pair
@@ -26,7 +26,7 @@ import numpy as np
 from .core import ParameterError, QaryPairWord, QaryWord, STuple
 
 _PERMUTATION_LIMIT = 8
-_ENUMERATION_LIMIT = 5  # _best_matchings sums all s! matchings up to this s
+_ENUMERATION_LIMIT = 6  # _best_matchings sums all s! matchings up to this s
 _MATCHING_TILE_CELLS = 1 << 20  # cells one enumeration tile may gather
 
 
@@ -116,13 +116,15 @@ def _min_cost_matching(cost: list[list[int]]) -> int:
 @cache
 def _matching_cells(s: int) -> np.ndarray:
     """The s! matchings of an s x s matrix, one row each of flat cells i*s + p(i)."""
-    return np.array(list(permutations(range(s)))) + s * np.arange(s)
+    cells = np.array(list(permutations(range(s)))) + s * np.arange(s)
+    cells.setflags(write=False)  # one table serves every call
+    return cells
 
 
 def _best_matchings(weights: np.ndarray) -> np.ndarray:
     """Maximum-weight perfect matching of each s x s matrix in a batch.
 
-    Up to s = 5, the best of the s! matchings, summed over their cells in
+    Up to s = 6, the best of the s! matchings, summed over their cells in
     tiles that gather at most `_MATCHING_TILE_CELLS` cells each.  Above,
     the Hungarian method (`_min_cost_matching`) on each negated matrix.
     """

@@ -171,7 +171,7 @@ def test_verify_pair_codes_match_brute_force(monkeypatch, tile):
 
 
 def test_best_matchings_against_permutations(monkeypatch):
-    """Tiled enumeration (s <= 5) and per-matrix Hungarian (s = 6, 7) against all s! matchings."""
+    """Tiled enumeration (s <= 6) and per-matrix Hungarian (s = 7) against all s! matchings."""
     rng = np.random.default_rng(3)
 
     def expected(weights):
@@ -184,11 +184,13 @@ def test_best_matchings_against_permutations(monkeypatch):
             assert metric._best_matchings(weights).tolist() == expected(weights)
     weights = rng.integers(0, 5, size=(4, 7, 7))
     assert metric._best_matchings(weights).tolist() == expected(weights)
-    for tile in (1, 500, 2000, 1 << 20):  # one matrix per tile, 5 at s = 4 or 3 at s = 5, one tile
+    # matrices per tile at s = 4, 5, 6: 1 -> 1, 1, 1; 500 -> 5, 1, 1; 2000 -> 20, 3, 1;
+    # 10000 -> 104, 16, 2; 2^20 -> all 23 in one tile
+    for tile in (1, 500, 2000, 10000, 1 << 20):
         monkeypatch.setattr(metric, "_MATCHING_TILE_CELLS", tile)
         for s in range(1, 8):
             assert metric._best_matchings(np.zeros((0, s, s), dtype=np.int64)).tolist() == []
-        for s in (4, 5):
+        for s in (4, 5, 6):
             weights = rng.integers(0, 5, size=(s, s, 23)).transpose(2, 0, 1)  # a view, as the kernels pass it
             assert metric._best_matchings(weights).tolist() == expected(weights)
 
