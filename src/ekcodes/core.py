@@ -10,7 +10,8 @@ canonicalize, Code, code_from_json) check every input.  Kernels whose
 rows are canonical by construction (a monotone gather through sorted
 blocks, sorted translates, the greedy word stream) build their words
 through one private constructor, `_canonical_words`, which sets each
-part's elements and mask without re-checking them.
+part's elements and mask, and each word's hash, without re-checking them.
+A word's hash is that of its parts' element tuples, computed once.
 
 Only this module knows a word's int-row form: `_incidence_rows` (words to
 rows), `_universe_blocks` (the one enumerator) and `_row_words` (rows to
@@ -23,8 +24,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, product
-from operator import attrgetter
+from itertools import chain, combinations, islice, product, repeat
+from operator import attrgetter, mul
 from pathlib import Path
 from typing import Collection, Iterable, Iterator
 
@@ -53,7 +54,7 @@ class DegenerateParametersWarning(UserWarning):
     """Parameters admit no words at all (s*k > n)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KSubset:
     """A strictly increasing k-subset of the ground set [0, n)."""
 
@@ -90,7 +91,14 @@ class KSubset:
     @classmethod
     def of(cls, elements: Iterable[int], n: int) -> "KSubset":
         """Build from an unordered collection, sorting the elements."""
-        return cls(n, tuple(sorted(map(int, elements))))
+        elems = tuple(sorted(map(int, elements)))
+        # sorted, only the ends can leave [0, n); inside it, the bits sum
+        # without a carry exactly when the elements are distinct
+        if elems and elems[0] >= 0 and elems[-1] < n:
+            mask = sum(map(_bit, elems))
+            if mask.bit_count() == len(elems):
+                return _new_part(n, elems, mask)
+        return cls(n, elems)  # raises __post_init__'s error, or builds the empty part
 
     def isdisjoint(self, other: "KSubset") -> bool:
         return not (self.mask & other.mask)
@@ -106,9 +114,20 @@ class KSubset:
 
 
 _elements = attrgetter("elements")
+_bit = (1).__lshift__
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True, eq=False)
+def _new_part(n: int, elements: tuple[int, ...], mask: int) -> KSubset:
+    """A KSubset from fields already checked, without __post_init__."""
+    part = object.__new__(KSubset)
+    _setattr(part, "n", n)
+    _setattr(part, "elements", elements)
+    _setattr(part, "mask", mask)
+    return part
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class STuple:
     """An unordered tuple of pairwise disjoint k-subsets, stored sorted.
 
@@ -119,6 +138,7 @@ class STuple:
     """
 
     parts: tuple[KSubset, ...]
+    _hash: int | None = field(init=False, repr=False, compare=False, default=None)  # set once computed
 
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
@@ -167,7 +187,11 @@ class STuple:
         return isinstance(other, STuple) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        h = self._hash
+        if h is None:
+            h = hash(tuple([p.elements for p in self.parts]))  # == hash(self._key())
+            _setattr(self, "_hash", h)
+        return h
 
     def __lt__(self, other: "STuple") -> bool:
         return self._key() < other._key()
@@ -176,12 +200,12 @@ class STuple:
         return tuple(p.elements for p in self.parts)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DisjointPair(STuple):
     """A word with exactly two parts; the s=2 special case of STuple."""
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        STuple.__post_init__(self)  # zero-argument super() fails in slotted dataclasses
         if len(self.parts) != 2:
             raise ParameterError(f"a DisjointPair has 2 parts, got {len(self.parts)}")
 
@@ -229,22 +253,17 @@ def _canonical_words(n: int, rows: np.ndarray) -> list[STuple]:
     # objects; zipping the k element columns yields each part's tuple
     columns = np.array(range(n), dtype=object)[flat.T].tolist()
     masks = np.array([1 << e for e in range(n)], dtype=object)[flat].sum(axis=1).tolist()
-    setattr_ = object.__setattr__
 
-    def part(elements: tuple[int, ...], mask: int) -> KSubset:
-        p = object.__new__(KSubset)
-        setattr_(p, "n", n)
-        setattr_(p, "elements", elements)
-        setattr_(p, "mask", mask)
-        return p
-
-    def word(parts: tuple[KSubset, ...]) -> STuple:
+    def word(parts: tuple[KSubset, ...], key_hash: int) -> STuple:
         w = object.__new__(STuple)
-        setattr_(w, "parts", parts)
+        _setattr(w, "parts", parts)
+        _setattr(w, "_hash", key_hash)
         return w
 
-    parts = list(map(part, zip(*columns), masks))
-    return list(map(word, zip(*(parts[i::s] for i in range(s)))))
+    elements = list(zip(*columns))
+    parts = list(map(_new_part, repeat(n), elements, masks))
+    key_hashes = map(hash, zip(*(elements[i::s] for i in range(s))))
+    return list(map(word, zip(*(parts[i::s] for i in range(s))), key_hashes))
 
 
 def _incidence_rows(words: Collection, n: int, k: int, s: int, q: int) -> np.ndarray:
@@ -339,7 +358,7 @@ def enumerate_words(n: int, k: int, s: int = 2) -> Iterator[STuple]:
         yield from _row_words(rows, n, k, s, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QaryWord:
     """A length-n word over {0, ..., q-1}; its weight is its support size."""
 
@@ -348,26 +367,32 @@ class QaryWord:
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ParameterError(f"alphabet needs q >= 2, got q={self.q}")
-        syms = tuple(int(x) for x in self.symbols)
+        q = self.q
+        if q < 2:
+            raise ParameterError(f"alphabet needs q >= 2, got q={q}")
+        syms = tuple(self.symbols)
+        try:  # int-like symbols all in [0, 256) become Python ints in C
+            syms, low = tuple(bytes(syms)), 0
+        except (TypeError, ValueError):
+            syms = tuple(map(int, syms))
+            low = min(syms, default=0)
         object.__setattr__(self, "symbols", syms)
         if len(syms) != self.n:
             raise ParameterError(f"expected {self.n} symbols, got {len(syms)}")
-        for x in syms:
-            if not 0 <= x < self.q:
-                raise ElementRangeError(f"symbol {x} outside alphabet [0, {self.q})")
+        if low < 0 or max(syms, default=0) >= q:
+            bad = next(x for x in syms if not 0 <= x < q)  # the first, to name it
+            raise ElementRangeError(f"symbol {bad} outside alphabet [0, {q})")
 
     @property
     def weight(self) -> int:
-        return sum(1 for x in self.symbols if x)
+        return self.n - self.symbols.count(0)
 
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.symbols) if x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QaryPairWord:
     """An unordered pair of q-ary words with disjoint supports."""
 
@@ -376,13 +401,14 @@ class QaryPairWord:
 
     def __post_init__(self) -> None:
         u, v = self.u, self.v
-        if (u.n, u.q) != (v.n, v.q):
+        if u.n != v.n or u.q != v.q:
             raise ParameterError("pair members must share (n, q)")
-        if u.weight != v.weight:
+        a, b = u.symbols, v.symbols
+        if a.count(0) != b.count(0):  # n - weight
             raise ParameterError("pair members must have equal weight")
-        if any(a and b for a, b in zip(u.symbols, v.symbols)):
+        if any(map(mul, a, b)):  # a position where both are nonzero
             raise OverlapError("supports of the two words overlap")
-        if v.symbols < u.symbols:
+        if b < a:
             object.__setattr__(self, "u", v)
             object.__setattr__(self, "v", u)
 

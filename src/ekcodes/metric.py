@@ -4,9 +4,10 @@ The transportation distance between two words is the minimum, over
 matchings of their parts, of the number of elements that must move.  For
 pairs this is min(|A1-B1|+|A2-B2|, |A1-B2|+|A2-B1|); for s-tuples the
 minimum runs over all part matchings (an assignment problem).
-`tuple_distance` solves it by the Hungarian method (`_min_cost_matching`);
-the batch kernel `_best_matchings` sums all s! matchings up to s = 6 and
-calls the same method above.
+`tuple_distance` takes the best of the s! matchings up to s = 4 and solves
+it by the Hungarian method (`_min_cost_matching`) above, and always for
+method="assignment"; the batch kernel `_best_matchings` sums all s!
+matchings up to s = 6 and calls the same method above.
 
 A witness of a pair-word {A, B} at design distance d is an unordered pair
 {U, V} of disjoint sets with |U|+|V| = 2k-d+1 embedded in the word's two
@@ -20,33 +21,39 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
+from operator import mul, ne
 
 import numpy as np
 
 from .core import ParameterError, QaryPairWord, QaryWord, STuple
 
 _PERMUTATION_LIMIT = 8
+_TUPLE_ENUMERATION_LIMIT = 4  # tuple_distance takes the best of all s! matchings up to this s
 _ENUMERATION_LIMIT = 6  # _best_matchings sums all s! matchings up to this s
 _MATCHING_TILE_CELLS = 1 << 20  # cells one enumeration tile may gather
 
 
-def _check_same_world(x: STuple, y: STuple) -> None:
-    if (x.n, x.k, x.s) != (y.n, y.k, y.s):
+def _check_same_world(x: STuple, y: STuple) -> tuple[int, int]:
+    """The shared (k, s) of two words; ParameterError unless their (n, k, s) agree."""
+    xs, ys = x.parts, y.parts
+    k, s = len(xs[0].elements), len(xs)
+    if xs[0].n != ys[0].n or k != len(ys[0].elements) or s != len(ys):
         raise ParameterError(
             f"mismatched parameters: ({x.n},{x.k},{x.s}) vs ({y.n},{y.k},{y.s})"
         )
+    return k, s
 
 
 def pair_distance(p: STuple, q: STuple) -> int:
     """Transportation distance between two 2-part words; 0 iff p == q."""
-    _check_same_world(p, q)
-    if p.s != 2:
-        raise ParameterError(f"pair_distance needs 2-part words, got s={p.s}")
+    k, s = _check_same_world(p, q)
+    if s != 2:
+        raise ParameterError(f"pair_distance needs 2-part words, got s={s}")
     a1, a2 = p.parts[0].mask, p.parts[1].mask
     b1, b2 = q.parts[0].mask, q.parts[1].mask
     straight = (a1 & b1).bit_count() + (a2 & b2).bit_count()
     crossed = (a1 & b2).bit_count() + (a2 & b1).bit_count()
-    return 2 * p.k - max(straight, crossed)
+    return 2 * k - max(straight, crossed)
 
 
 def tuple_distance(x: STuple, y: STuple, method: str = "auto") -> int:
@@ -54,14 +61,20 @@ def tuple_distance(x: STuple, y: STuple, method: str = "auto") -> int:
 
     The cost of moving part i of x onto part j of y is k minus their common
     elements; the distance is the cheapest perfect matching of parts.
-    "auto" (or "assignment") finds it exactly, in O(s^3), by the Hungarian
-    method with shortest augmenting paths (`_min_cost_matching`).
-    method="permutation" minimizes over all s! matchings (the oracle,
-    s <= 8).  Both methods are exact and agree.
+    "auto" takes the best of the s! matchings up to s = 4 (summed at once,
+    one byte per matching, while s*k < 256) and, above, uses the Hungarian
+    method with shortest augmenting paths (`_min_cost_matching`, O(s^3));
+    "assignment" always uses the Hungarian method.  method="permutation"
+    minimizes over all s! matchings of the cost matrix (the readable
+    oracle, s <= 8).  All methods are exact and agree.
     """
-    _check_same_world(x, y)
-    s = x.s
-    cost = [[x.k - (xp.mask & yp.mask).bit_count() for yp in y.parts] for xp in x.parts]
+    k, s = _check_same_world(x, y)
+    y_masks = [yp.mask for yp in y.parts]
+    common = [(xp.mask & mask).bit_count() for xp in x.parts for mask in y_masks]
+    if method == "auto" and s <= _TUPLE_ENUMERATION_LIMIT and s * k < 256:
+        lanes, count = _matching_lanes(s)
+        return s * k - max(sum(map(mul, common, lanes)).to_bytes(count, "little"))
+    cost = [[k - c for c in common[i : i + s]] for i in range(0, s * s, s)]
     if method == "permutation":
         if s > _PERMUTATION_LIMIT:
             raise ParameterError(f"permutation method limited to s <= {_PERMUTATION_LIMIT}")
@@ -121,6 +134,21 @@ def _matching_cells(s: int) -> np.ndarray:
     return cells
 
 
+@cache
+def _matching_lanes(s: int) -> tuple[list[int], int]:
+    """Per cell of a flat s*s list, the int with a 1 in the byte of each of the
+    s! matchings that uses the cell; and s!.
+
+    Summing count * lane over the cells puts each matching's total in its
+    own byte, which holds it while the totals stay below 256.
+    """
+    lanes = [0] * (s * s)
+    for matching, cells in enumerate(_matching_cells(s).tolist()):
+        for cell in cells:
+            lanes[cell] += 1 << 8 * matching
+    return lanes, math.factorial(s)
+
+
 def _best_matchings(weights: np.ndarray) -> np.ndarray:
     """Maximum-weight perfect matching of each s x s matrix in a batch.
 
@@ -153,31 +181,40 @@ def _best_shares(common: np.ndarray, floor: int) -> np.ndarray:
 
     The result exceeds floor exactly where the best matching does.  It is
     the best matching at s <= 2 (two diagonals, in closed form) and, above,
-    where `_matching_bounds` leave floor between them (`_best_matchings`);
-    elsewhere it is the largest cell.
+    where `_matching_bounds` leave floor between them; elsewhere it is the
+    largest cell.  An open matrix whose row-maxima and column-maxima sums
+    both equal its total has at most one nonzero cell per row and column,
+    so its total is its best matching (always so at k = 1); the others go
+    to `_best_matchings`.
     """
     if len(common) == 2:
         return np.maximum(common[0, 0] + common[1, 1], common[0, 1] + common[1, 0])
     best, upper = _matching_bounds(common)
     open_ = (best <= floor) & (upper > floor)
     if open_.any():
-        best[open_] = _best_matchings(common[:, :, open_].transpose(2, 0, 1))
+        batch, shares = common[:, :, open_], upper[open_]
+        solve = shares != batch.sum(axis=(0, 1), dtype=common.dtype)
+        if solve.any():
+            shares[solve] = _best_matchings(batch[:, :, solve].transpose(2, 0, 1))
+        best[open_] = shares
     return best
 
 
 def qary_distance(u: QaryWord, v: QaryWord) -> int:
     """Hamming distance between two q-ary words."""
-    if (u.n, u.q) != (v.n, v.q):
+    if u.n != v.n or u.q != v.q:
         raise ParameterError(f"mismatched parameters: ({u.n},{u.q}) vs ({v.n},{v.q})")
-    return sum(1 for a, b in zip(u.symbols, v.symbols) if a != b)
+    return sum(map(ne, u.symbols, v.symbols))
 
 
 def qary_pair_distance(x: QaryPairWord, y: QaryPairWord) -> int:
     """Minimum over the two matchings of summed Hamming distances."""
-    if (x.n, x.q) != (y.n, y.q):
+    xu, yu = x.u, y.u  # the members of one pair share (n, q)
+    if xu.n != yu.n or xu.q != yu.q:
         raise ParameterError(f"mismatched parameters: ({x.n},{x.q}) vs ({y.n},{y.q})")
-    straight = qary_distance(x.u, y.u) + qary_distance(x.v, y.v)
-    crossed = qary_distance(x.u, y.v) + qary_distance(x.v, y.u)
+    a1, a2, b1, b2 = xu.symbols, x.v.symbols, yu.symbols, y.v.symbols
+    straight = sum(map(ne, a1, b1)) + sum(map(ne, a2, b2))
+    crossed = sum(map(ne, a1, b2)) + sum(map(ne, a2, b1))
     return min(straight, crossed)
 
 

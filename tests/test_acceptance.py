@@ -96,14 +96,18 @@ def test_c01_metric_axioms():
     started = time.monotonic()
     rng = random.Random(1001)
     per_family = 100_000
+    seconds = {}  # per family, words built and checked
 
+    family_started = time.monotonic()
     triples = []
     for _ in range(per_family):
         n = rng.randint(4, 20)
         k = rng.randint(1, min(4, n // 2))
         triples.append(tuple(_random_pair_word(rng, n, k) for _ in range(3)))
     _axioms(pair_distance, triples)
+    seconds["pair"] = time.monotonic() - family_started
 
+    family_started = time.monotonic()
     triples = []
     for _ in range(per_family):
         s = rng.randint(2, 4)
@@ -111,7 +115,9 @@ def test_c01_metric_axioms():
         n = rng.randint(s * k, 20)
         triples.append(tuple(_random_pair_word(rng, n, k, s) for _ in range(3)))
     _axioms(tuple_distance, triples)
+    seconds["tuple"] = time.monotonic() - family_started
 
+    family_started = time.monotonic()
     triples = []
     for _ in range(per_family):
         n = rng.randint(2, 20)
@@ -119,7 +125,9 @@ def test_c01_metric_axioms():
         q = rng.randint(2, 4)
         triples.append(tuple(_random_qary_word(rng, n, k, q) for _ in range(3)))
     _axioms(qary_distance, triples)
+    seconds["qary"] = time.monotonic() - family_started
 
+    family_started = time.monotonic()
     triples = []
     for _ in range(per_family):
         n = rng.randint(2, 20)
@@ -127,8 +135,10 @@ def test_c01_metric_axioms():
         q = rng.randint(2, 4)
         triples.append(tuple(_random_qary_pair(rng, n, k, q) for _ in range(3)))
     _axioms(qary_pair_distance, triples)
+    seconds["qary_pair"] = time.monotonic() - family_started
 
-    _report("C01 metric axioms (4 x 100k random triples)", started, budget=60)
+    families = ", ".join(f"{name} {spent:.1f}s" for name, spent in seconds.items())
+    _report(f"C01 metric axioms (4 x 100k random triples; {families})", started, budget=60)
 
 
 def test_c02_witness_equivalence_exhaustive_n8():

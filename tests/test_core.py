@@ -3,6 +3,7 @@ import math
 import warnings
 from itertools import islice, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +193,7 @@ def test_qary_word_validation():
     word = QaryWord(4, 3, (1, 0, 2, 0))
     assert word.weight == 2
     assert word.support == (0, 2)
+    assert QaryWord(3, 3, (0, 0, 0)).weight == 0 and QaryWord(3, 3, (2, 1, 2)).weight == 3
     with pytest.raises(ElementRangeError):
         QaryWord(3, 3, (1, 0, 3))
     with pytest.raises(ParameterError):
@@ -254,3 +256,93 @@ def test_code_infinite_sentinel_serializes_to_null():
     word = canonicalize([[0, 1], [2, 3]], 6)
     code = Code(6, 2, 2, 0, 3, frozenset({word}), verified_min_distance=math.inf)
     assert json.loads(code_to_json(code))["verified_min_distance"] is None
+
+
+# Malformed input for every public word constructor: the exact error class,
+# and a message fragment that names the bad element, symbol or parameter.
+_BAD_CONSTRUCTIONS = [
+    ("KSubset unsorted", lambda: KSubset(5, (2, 1)), ParameterError, "(2, 1)"),
+    ("KSubset duplicate", lambda: KSubset(5, (1, 1)), PartSizeError, "duplicate element 1"),
+    ("KSubset negative", lambda: KSubset(5, (-1, 2)), ElementRangeError, "element -1"),
+    ("KSubset >= n", lambda: KSubset(5, (1, 5)), ElementRangeError, "element 5"),
+    ("KSubset n < 0", lambda: KSubset(-1, ()), ParameterError, "n=-1"),
+    ("KSubset n < 0 with elements", lambda: KSubset(-2, (0,)), ParameterError, "n=-2"),
+    ("KSubset duplicate before range", lambda: KSubset(5, (1, 1, 9)), PartSizeError, "duplicate element 1"),
+    ("of duplicate", lambda: KSubset.of([2, 1, 2], 5), PartSizeError, "duplicate element 2"),
+    ("of negative", lambda: KSubset.of([3, -2], 5), ElementRangeError, "element -2"),
+    ("of >= n", lambda: KSubset.of([7, 1], 5), ElementRangeError, "element 7"),
+    ("of n < 0", lambda: KSubset.of([], -3), ParameterError, "n=-3"),
+    ("of n < 0 with elements", lambda: KSubset.of([1], -3), ParameterError, "n=-3"),
+    ("of duplicate before range", lambda: KSubset.of([9, 1, 1], 5), PartSizeError, "duplicate element 1"),
+    ("canonicalize overlap", lambda: canonicalize([(1, 2), (2, 3)], 5), OverlapError, "element 2"),
+    ("canonicalize >= n", lambda: canonicalize([(1, 5), (2, 3)], 5), ElementRangeError, "element 5"),
+    ("canonicalize negative", lambda: canonicalize([(0, 2), (-1, 3)], 5), ElementRangeError, "element -1"),
+    ("canonicalize duplicate", lambda: canonicalize([(1, 1, 2), (3, 4, 5)], 6), PartSizeError, "duplicate element 1"),
+    ("canonicalize mixed k", lambda: canonicalize([(1,), (2, 3)], 5), PartSizeError, "(2, 3)"),
+    ("canonicalize wrong k", lambda: canonicalize([(1, 2), (3, 4)], 5, k=3), PartSizeError, "(1, 2) has size 2, expected 3"),
+    ("canonicalize k, then overlap", lambda: canonicalize([(0, 1), (1, 2)], 5, k=2), OverlapError, "element 1"),
+    ("canonicalize no parts", lambda: canonicalize([], 5), ParameterError, "at least one part"),
+    ("canonicalize empty part", lambda: canonicalize([()], 5), PartSizeError, "k >= 1"),
+    ("canonicalize n < 0", lambda: canonicalize([(0, 1)], -1), ParameterError, "n=-1"),
+    ("STuple mixed n", lambda: STuple((KSubset(5, (0, 1)), KSubset(6, (2, 3)))), ParameterError, "6 != 5"),
+    ("STuple wrong k", lambda: STuple((KSubset(5, (0, 1)), KSubset(5, (2,)))), PartSizeError, "(2,)"),
+    ("STuple overlap", lambda: STuple((KSubset(5, (0, 1)), KSubset(5, (1, 2)))), OverlapError, "element 1"),
+    ("STuple no parts", lambda: STuple(()), ParameterError, "at least one part"),
+    ("DisjointPair 3 parts", lambda: DisjointPair((KSubset(6, (0,)), KSubset(6, (1,)), KSubset(6, (2,)))), ParameterError, "got 3"),
+    ("DisjointPair overlap", lambda: DisjointPair.from_sets([1, 2], [2, 3], 5), OverlapError, "element 2"),
+    ("DisjointPair duplicate", lambda: DisjointPair.from_sets([1, 1], [2, 3], 5), PartSizeError, "duplicate element 1"),
+    ("QaryWord q < 2", lambda: QaryWord(3, 1, (0, 0, 0)), ParameterError, "q=1"),
+    ("QaryWord length", lambda: QaryWord(3, 3, (1, 0)), ParameterError, "expected 3 symbols, got 2"),
+    ("QaryWord symbol < 0", lambda: QaryWord(3, 3, (1, -1, 0)), ElementRangeError, "symbol -1"),
+    ("QaryWord symbol >= q", lambda: QaryWord(3, 3, (1, 0, 3)), ElementRangeError, "symbol 3"),
+    ("QaryWord first bad symbol", lambda: QaryWord(4, 3, (0, 5, -2, 0)), ElementRangeError, "symbol 5"),
+    ("QaryWord symbol >= q >= 256", lambda: QaryWord(3, 300, (1, 300, 0)), ElementRangeError, "symbol 300"),
+    ("QaryWord symbol < 0 with q >= 256", lambda: QaryWord(2, 300, (299, -3)), ElementRangeError, "symbol -3"),
+    ("QaryPairWord weights", lambda: QaryPairWord(QaryWord(4, 2, (1, 1, 0, 0)), QaryWord(4, 2, (0, 0, 1, 0))), ParameterError, "equal weight"),
+    ("QaryPairWord overlap", lambda: QaryPairWord(QaryWord(3, 2, (1, 1, 0)), QaryWord(3, 2, (0, 1, 1))), OverlapError, "overlap"),
+    ("QaryPairWord n", lambda: QaryPairWord(QaryWord(3, 2, (1, 0, 0)), QaryWord(4, 2, (0, 1, 0, 0))), ParameterError, "(n, q)"),
+    ("QaryPairWord q", lambda: QaryPairWord(QaryWord(3, 2, (1, 0, 0)), QaryWord(3, 3, (0, 2, 0))), ParameterError, "(n, q)"),
+]
+
+
+@pytest.mark.parametrize("build, error, fragment", [case[1:] for case in _BAD_CONSTRUCTIONS], ids=[case[0] for case in _BAD_CONSTRUCTIONS])
+def test_constructors_reject_malformed_input(build, error, fragment):
+    with pytest.raises(ParameterError) as caught:
+        build()
+    assert type(caught.value) is error
+    assert fragment in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: KSubset.of([4, 0, 2], 5),
+        lambda: KSubset.of([], 0),
+        lambda: KSubset.of([69, 3], 70),
+        lambda: KSubset.of((x for x in (3, 1)), 4),
+    ],
+)
+def test_ksubset_of_matches_the_checked_constructor(build):
+    part = build()
+    twin = KSubset(part.n, tuple(sorted(part.elements)))
+    assert part == twin and hash(part) == hash(twin)
+    assert part.mask == twin.mask == sum(1 << e for e in part.elements)
+    assert all(type(e) is int for e in part.elements)
+
+
+@pytest.mark.parametrize(
+    "q, symbols, expected",
+    [
+        (3, (np.int64(2), 0, True), (2, 0, 1)),
+        (3, (1.0, 0, 2), (1, 0, 2)),
+        (3, [0, 1, 2], (0, 1, 2)),
+        (3, (x for x in (2, 0, 1)), (2, 0, 1)),
+        (3, b"\x01\x00\x02", (1, 0, 2)),
+        (300, (299, 0, 256), (299, 0, 256)),
+        (2, (), ()),
+    ],
+)
+def test_qary_word_symbols_become_python_ints(q, symbols, expected):
+    word = QaryWord(len(expected), q, symbols)
+    assert word.symbols == expected
+    assert all(type(x) is int for x in word.symbols)

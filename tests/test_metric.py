@@ -1,8 +1,11 @@
 import math
 import random
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekcodes import (
     ParameterError,
@@ -19,6 +22,7 @@ from ekcodes import (
     witness_splits,
     words_conflict,
 )
+from ekcodes import metric
 
 
 def oracle_pair_distance(p, q):
@@ -94,6 +98,63 @@ def test_tuple_distance_permutation_vs_assignment():
         x, y = random_word(rng, n, k, s), random_word(rng, n, k, s)
         oracle = tuple_distance(x, y, "permutation")
         assert tuple_distance(x, y) == tuple_distance(x, y, "assignment") == oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tuple_distance_enumeration_vs_hungarian(data):
+    """"auto" takes the best of the s! matchings up to s = 4 and runs the
+    Hungarian method above; "assignment" always runs it; all three agree."""
+    s = data.draw(st.integers(1, 5), label="s")
+    k = data.draw(st.integers(1, 4), label="k")
+    n = data.draw(st.integers(s * k, s * k + 6), label="n")
+
+    def word():
+        elems = data.draw(st.permutations(range(n)))[: s * k]
+        return canonicalize([elems[i * k : (i + 1) * k] for i in range(s)], n)
+
+    x, y = word(), word()
+    with mock.patch.object(metric, "_min_cost_matching", wraps=metric._min_cost_matching) as hungarian:
+        auto = tuple_distance(x, y)
+        assert hungarian.call_count == (s > 4)
+        assignment = tuple_distance(x, y, "assignment")
+        assert hungarian.call_count == (s > 4) + 1
+    assert auto == assignment == tuple_distance(x, y, "permutation")
+
+
+@pytest.mark.parametrize("s, k", [(1, 255), (1, 256), (2, 127), (2, 128), (4, 63), (4, 64)])
+def test_tuple_distance_byte_lanes_hold_every_total(s, k):
+    """"auto" sums the matchings in one byte each while s*k < 256 and hands
+    larger words to the Hungarian method.  y moves one element of x, and x
+    against itself gives the largest total, s*k (255 at s=1, k=255)."""
+    rng = random.Random(s * 1000 + k)
+    n = s * k + 2
+    x = random_word(rng, n, k, s)
+    parts = [list(p.elements) for p in x.parts]
+    parts[-1][-1] = next(e for e in range(n) if not any(e in p for p in x.parts))
+    y = canonicalize(parts, n)
+    with mock.patch.object(metric, "_min_cost_matching", wraps=metric._min_cost_matching) as hungarian:
+        assert tuple_distance(x, y) == 1 and tuple_distance(x, x) == 0
+        assert hungarian.call_count == 2 * (s * k >= 256)
+    assert tuple_distance(x, y, "assignment") == tuple_distance(x, y, "permutation") == 1
+
+
+@pytest.mark.parametrize(
+    "other, n",
+    [
+        ([(0, 1), (2, 3)], 9),
+        ([(0,), (1,)], 8),
+        ([(0, 1), (2, 3), (4, 5)], 8),
+    ],
+    ids=["n", "k", "s"],
+)
+def test_distances_reject_each_single_mismatch(other, n):
+    x = canonicalize([(0, 1), (2, 3)], 8)
+    y = canonicalize(other, n)
+    for distance in (pair_distance, tuple_distance, lambda a, b: tuple_distance(a, b, "permutation")):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ParameterError, match="mismatched parameters"):
+                distance(a, b)
 
 
 def test_tuple_distance_at_large_s():
