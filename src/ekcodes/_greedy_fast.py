@@ -7,7 +7,8 @@ the drop is decided from the two rank indices alone, so only the kept
 half is gathered and lifted.  s-tuples (s != 2) and q-ary words permute
 their universe's incidence rows.  greedy_by_distance keeps the first
 live row of the stream and strikes, in one numpy pass, every later row
-closer than d to it, through verify_code's matching test; for pairs,
+closer than d to it, through metric._best_shares, the matching test of
+verify_code's incidence kernel (search._best_common); for pairs,
 greedy_pairs accepts the same words by claiming witnesses as integer
 keys in a dense array (claim_greedy, which greedy_packing shares).
 Every word is examined, so the output is maximal.

@@ -171,11 +171,14 @@ def asymptotic_constant(
     """The limiting constant of the named family of maximum code sizes.
 
     variant "pair": limit of C(n,k,d) / n^(2k-d+1), an exact rational.
-    variant "stuple": limit of C_s(n,k,d) / n^(sk-d+1); requires s.
+    variant "stuple": limit of C_s(n,k,d) / n^(sk-d+1); requires s and
+    sk-d+1 >= s-1.
     variants "qary" and "qary-pair": limits for constant-weight q-ary
     codes and disjoint-support pairs, returned symbolically as a
     (coefficient, n exponent, (q-1) exponent) triple since they depend
-    on q.  Regimes outside a theorem's hypotheses raise ParameterError.
+    on q; "qary" at even d requires q = 2.  Regimes outside a theorem's
+    hypotheses raise ParameterError, including those where the closed
+    form is refuted by codes the package builds.
     """
     if variant == "pair":
         if not 1 <= d <= 2 * k:
@@ -187,6 +190,10 @@ def asymptotic_constant(
             raise ParameterError("stuple variant needs s >= 1")
         if not 1 <= d <= s * k:
             raise ParameterError(f"theorem does not apply: need 1 <= d <= s*k, got d={d}")
+        if s * k - d + 1 <= s - 2:
+            # the form drops a factor for the parts a witness of sk-d+1 elements leaves empty:
+            # at (s,k,d) = (3,1,3) it gives 1/6, yet floor(n/3) disjoint triples give 1/3
+            raise ParameterError(f"theorem does not apply: need s*k-d+1 >= s-1, got {s * k - d + 1} < {s - 1}")
         num = math.prod(math.factorial(max(0, math.ceil((d - i) / s))) for i in range(1, s + 1))
         return Fraction(num, math.factorial(s) * math.factorial(k) ** s)
     if variant == "qary":
@@ -197,6 +204,9 @@ def asymptotic_constant(
         if d % 2 == 1:
             e = k - (d - 1) // 2
             return QaryConstant(Fraction(math.factorial((d - 1) // 2), math.factorial(k)), e, e)
+        if q >= 3:
+            # the (q-1) exponent is one too high: at k = 1, d = 2 words need distinct positions, so C = n, not n(q-1)
+            raise ParameterError("theorem does not apply: even d needs q = 2")
         e = k - d // 2 + 1
         return QaryConstant(Fraction(math.factorial(d // 2 - 1), math.factorial(k)), e, e)
     if variant == "qary-pair":

@@ -1,16 +1,21 @@
 """Verification, randomized greedy construction, and exact maximum search.
 
-verify_code computes the exact minimum pairwise distance of every code
-with one numpy kernel.  Each word becomes a row of incidence ids: a set
-word's part elements, a q-ary word's support positions i followed by
-n + i*q + symbol, and a q-ary pair's two words in turn; only pairs of
-words that share an id are examined, and only those that could be the
-closest get an exact part matching.  min_distance_at_least is a thin
-threshold test over verify_code for 2-part set-world codes.
+verify_code computes the exact minimum pairwise distance of every code.
+Each word becomes a row of incidence ids: a set word's part elements, a
+q-ary word's support positions i followed by n + i*q + symbol, and a
+q-ary pair's two words in turn.  Set-world pairs are at distance <= d - 1
+iff they share a witness, so their minimum comes from a walk over the
+witness size, one sort of all words' witness keys per step, started at
+the claimed distance.  Every other code, and pair codes whose keys do not
+fit, runs the incidence kernel over the pairs of words that share an id,
+in which only the pairs that could be the closest get an exact part
+matching.
+min_distance_at_least is a thin threshold test over verify_code for
+2-part set-world codes.
 greedy_code builds a maximal code by reading a seeded permutation of the
 word universe, as incidence rows of the same kind, through one distance
 rule (`_greedy_fast`), in which each kept word strikes its conflicts
-through verify_code's matching test.  exact_max_code is a
+through the incidence kernel's matching test.  exact_max_code is a
 branch-and-bound clique search over the compatibility graph, which it
 builds from the witness keys of the universe rows; exhaustive_max_code,
 a plain enumeration over a graph built by comparing every pair of words,
@@ -41,6 +46,7 @@ from .core import (
 from .metric import _best_shares
 
 _PAIR_TILE = 1 << 13
+_WITNESS_KEY_CAP = 1 << 24  # keys in one witness-key table: 128 MB of int64
 _DISTANCE_UNIVERSE_CAP = 2_000_000
 _DEFAULT_WORD_CEILING = 5_000
 
@@ -111,22 +117,86 @@ def _best_common(rows: np.ndarray, s: int) -> int:
     return best
 
 
+def _witness_keys(rows: np.ndarray, n: int, k: int, d: int) -> np.ndarray | None:
+    """Witness keys of pair rows at distance d: row i holds word i's C(2k, t) keys, t = 2k - d + 1.
+
+    Two words share a key iff they share a witness, i.e. iff they are at
+    distance <= d - 1.  None when the keys do not fit: the key space must
+    fit int64, and the table must hold at most _WITNESS_KEY_CAP keys.
+    """
+    builder = _greedy_fast._KeyBuilder(n, k, d)
+    if builder.total_space >= 1 << 63 or len(rows) * len(builder.plans) > _WITNESS_KEY_CAP:
+        return None
+    columns = list(rows.T.astype(np.int64, order="C"))
+    return np.stack(builder.build(columns[:k], columns[k:]), axis=1)
+
+
+def _shares_witness(rows: np.ndarray, n: int, k: int, t: int) -> bool | None:
+    """True iff two pair rows share a t-element witness; None when the keys do not fit."""
+    keys = _witness_keys(rows, n, k, 2 * k - t + 1)
+    if keys is None:
+        return None
+    keys = keys.ravel()
+    keys.sort()
+    return bool((keys[1:] == keys[:-1]).any())
+
+
+def _witness_best_common(rows: np.ndarray, n: int, k: int, d: int) -> int | None:
+    """Largest matched-element count over all pairs of pair rows, by a walk over witness sizes.
+
+    Two words share a t-element witness iff their best matching shares at
+    least t elements, so the answer is the largest t at which two rows
+    share a witness, or 0.  A code's words are distinct, so no two share
+    all 2k elements, and t stops at 2k - 1; t = 2k would only add the
+    largest key space, the first to outgrow int64.  The walk starts at
+    the claimed distance d, t = 2k - d + 1 clamped into [1, 2k - 1], and
+    moves up while rows collide or down until they do; a code that meets
+    its claim exactly costs two sorts.  None when some step's keys do not
+    fit (_witness_keys).
+    """
+    top = 2 * k - 1
+    t = min(max(2 * k - d + 1, 1), top)
+    hit = _shares_witness(rows, n, k, t)
+    if hit is None:
+        return None
+    step = 1 if hit else -1
+    while 1 <= t + step <= top:
+        beyond = _shares_witness(rows, n, k, t + step)
+        if beyond is None:
+            return None
+        if beyond != hit:
+            break
+        t += step
+    # t is the last size on the starting side: the largest that collides, or the smallest that does not
+    return t if hit else t - 1
+
+
 def verify_code(code: Code) -> int | float:
     """Exact minimum pairwise distance; stored on the code as a side effect.
 
-    Codes with fewer than two words verify to the +infinity sentinel.  Every
-    kind of code runs one numpy kernel (`_best_common`) over its words'
-    incidence rows (`_incidence_rows`): s-tuples of k-subsets have s parts
-    of k elements, q-ary words one part of 2k ids, and q-ary pairs two
-    parts of 2k ids.  The distance of two rows of width w is w minus their
-    best part matching of shared ids, so the minimum is w minus the kernel.
+    Codes with fewer than two words verify to the +infinity sentinel.  Each
+    word becomes a row of incidence ids (`_incidence_rows`): s-tuples of
+    k-subsets have s parts of k elements, q-ary words one part of 2k ids,
+    and q-ary pairs two parts of 2k ids.  The distance of two rows of
+    width w is w minus their best part matching of shared ids, so the
+    minimum is w minus the largest such matching over all pairs.
+    Set-world pairs find it by the witness-key walk
+    (`_witness_best_common`), a few sorts of the words' witness keys
+    starting from the claimed distance.  Every other kind, and pairs
+    whose keys outgrow int64 or _WITNESS_KEY_CAP, run the incidence kernel
+    (`_best_common`) over the rows.
     """
     words = list(code.words)
     if len(words) < 2:
         code.verified_min_distance = math.inf
         return math.inf
     rows = _incidence_rows(words, code.n, code.k, code.s, code.q)
-    minimum = rows.shape[1] - _best_common(rows, code.s)
+    best = None
+    if code.q == 0 and code.s == 2:
+        best = _witness_best_common(rows, code.n, code.k, code.d)
+    if best is None:
+        best = _best_common(rows, code.s)
+    minimum = rows.shape[1] - best
     code.verified_min_distance = minimum
     return minimum
 
@@ -215,17 +285,17 @@ def _compatibility_masks(rows: np.ndarray, n: int, k: int, d: int) -> list[int]:
     ORed into its members' conflict masks; a word is adjacent to every word
     outside its own conflict mask.
     """
-    builder = _greedy_fast._KeyBuilder(n, k, d)
     # With more witnesses per word than half the words, the key arrays
     # outgrow the pairwise comparison: (14,7,7) has 3003 keys per word and
-    # peaks near 400 MB, against 30 MB pairwise.  Keys must also fit int64.
-    if 2 * len(builder.plans) > len(rows) or builder.total_space >= 1 << 63:
+    # peaks near 400 MB, against 30 MB pairwise.
+    keys = None if 2 * math.comb(2 * k, 2 * k - d + 1) > len(rows) else _witness_keys(rows, n, k, d)
+    if keys is None:
         return _pairwise_compatibility_masks(_row_words(rows, n, k, 2, 0), k, d)
-    columns = list(rows.T.astype(np.int64, order="C"))
-    keys = np.stack(builder.build(columns[:k], columns[k:]), axis=1).ravel()
+    per_word = keys.shape[1]
+    keys = keys.ravel()
     order = np.argsort(keys)
     sorted_keys = keys[order]
-    owners = (order // len(builder.plans)).tolist()
+    owners = (order // per_word).tolist()
     cuts = [0, *(np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist(), len(owners)]
     conflict = [0] * len(rows)
     for lo, hi in zip(cuts, cuts[1:]):

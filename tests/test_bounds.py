@@ -167,10 +167,31 @@ def test_asymptotic_stuple_reduces_to_pair():
 def test_asymptotic_qary_forms():
     const = asymptotic_constant("qary", k=3, d=3, q=4)
     assert const == QaryConstant(Fraction(1, 6), 2, 2)
-    even = asymptotic_constant("qary", k=3, d=4, q=4)
-    assert even == QaryConstant(Fraction(1, 6), 2, 2)
+    # the closed form gave (1/6, 2, 2) here; the witness bound's leading term is (1/6, 2, 1)
+    with pytest.raises(ParameterError, match="even d needs q = 2"):
+        asymptotic_constant("qary", k=3, d=4, q=4)
+    assert asymptotic_constant("qary", k=3, d=4, q=2) == QaryConstant(Fraction(1, 6), 2, 2)
     with pytest.raises(ParameterError):
         asymptotic_constant("qary", k=3, d=3, q=1)
+
+
+def test_asymptotic_constants_exact_where_the_limit_is_known():
+    """At d = sk the words are element-disjoint, so C_s(n,k,sk) = floor(n/(sk)) and the limit is 1/(sk).
+
+    Weight-1 q-ary words at distance >= 2 sit at distinct positions, so C = n.
+    """
+    for s in range(1, 7):
+        for k in range(1, 6):
+            if s <= 2:
+                assert asymptotic_constant("stuple", k=k, d=s * k, s=s) == Fraction(1, s * k)
+            else:
+                with pytest.raises(ParameterError, match="s\\*k-d\\+1 >= s-1"):
+                    asymptotic_constant("stuple", k=k, d=s * k, s=s)
+    assert asymptotic_constant("qary", k=1, d=2, q=2) == QaryConstant(Fraction(1), 1, 1)
+    for q in (3, 4, 5):
+        with pytest.raises(ParameterError, match="even d needs q = 2"):
+            asymptotic_constant("qary", k=1, d=2, q=q)
+        assert asymptotic_constant("qary", k=1, d=1, q=q) == QaryConstant(Fraction(1), 1, 1)
 
 
 def test_asymptotic_qary_pair_matches_pair_at_q2():

@@ -189,6 +189,13 @@ def test_compose_prop4_instance():
     assert upper_bound(8, 2, 2).floor_value == 42
 
 
+def test_compose_sqs64_verifies_exactly():
+    """SQS(64) with the 3-word (4,2,2) base: 31,248 words, the bound, at minimum distance exactly 2."""
+    composed = compose_code(zero_sum_quadruples(6), full_universe_code(4, 2, 2), k=2, d=2)
+    assert len(composed) == 31_248 == upper_bound(64, 2, 2).floor_value
+    assert verify_code(composed) == composed.verified_min_distance == 2
+
+
 def test_compose_requires_matching_strength():
     sqs = zero_sum_quadruples(3)
     base = full_universe_code(4, 2, 2)

@@ -216,6 +216,92 @@ def test_best_common_keeps_the_best_over_later_tiles(monkeypatch):
     assert search._best_common(rows[2:], 2) == 4
 
 
+def _oracle_min_distance(code: Code) -> int:
+    """Minimum distance of a pair code from the incidence kernel, called directly."""
+    rows = core._incidence_rows(list(code.words), code.n, code.k, 2, 0)
+    return 2 * code.k - search._best_common(rows, 2)
+
+
+def _run_code(n: int, k: int, starts: list[tuple[int, int]]) -> Code:
+    """The pair code of words {a, ..., a+k-1 | b, ..., b+k-1}, one per (a, b)."""
+    return Code(n, k, 2, 0, 1, frozenset(canonicalize([range(a, a + k), range(b, b + k)], n) for a, b in starts))
+
+
+def _walk_codes(seed: int) -> list[Code]:
+    """Pair codes for the key walk: random ones, and ones whose minimum sits at a known place."""
+    rng = random.Random(seed)
+    codes = []
+    for k in range(1, 5):
+        # no shared element (minimum 2k), two words only (minimum 1), and the crossed matching beating the straight one
+        codes.append(_run_code(6 * k, k, [(0, k), (2 * k, 3 * k), (4 * k, 5 * k)]))
+        codes.append(_run_code(2 * k + 1, k, [(0, k), (0, k + 1)]))
+        codes.append(_run_code(3 * k, k, [(0, k), (k, 2 * k)]))
+    while len(codes) < 120:
+        k = rng.randint(1, 4)
+        n = rng.randint(2 * k, 14)
+        words = set()
+        for _ in range(rng.randint(2, 60)):
+            elements = rng.sample(range(n), 2 * k)
+            words.add(canonicalize([elements[:k], elements[k:]], n))
+        if len(words) >= 2:
+            codes.append(Code(n, k, 2, 0, 1, frozenset(words)))
+    return codes
+
+
+def test_witness_walk_matches_best_common(monkeypatch):
+    """The key walk against the incidence kernel at every claimed d, from far below the truth to above 2k."""
+    codes = _walk_codes(seed=41)
+    truths = [_oracle_min_distance(c) for c in codes]
+    assert truths[:3] == [2, 1, 1] and truths[9:12] == [8, 1, 4]
+    assert min(map(len, codes[12:])) == 2 and max(map(len, codes)) > 40 and {c.k for c in codes[12:]} == {1, 2, 3, 4}
+    oracle = search._best_common
+    fallbacks = []
+    monkeypatch.setattr(search, "_best_common", lambda rows, s: fallbacks.append(s) or oracle(rows, s))
+    for code, truth in zip(codes, truths):
+        for d in range(1, 2 * code.k + 4):
+            claimed = Code(code.n, code.k, 2, 0, d, code.words)
+            assert verify_code(claimed) == claimed.verified_min_distance == truth, (d, sorted(code.words))
+    assert fallbacks == []
+
+
+def test_witness_walk_falls_back_to_best_common(monkeypatch):
+    """Keys over the cap or outside int64, at the walk's first step or midway, hand the code to the incidence kernel."""
+    code = greedy_code(10, 2, 2, seed=3)
+    truth = _oracle_min_distance(code)
+    assert truth == 2
+    oracle = search._best_common
+    fallbacks = []
+    monkeypatch.setattr(search, "_best_common", lambda rows, s: fallbacks.append(s) or oracle(rows, s))
+    # at k = 2 a step holds 4, 6 and 4 keys per word at t = 1, 2, 3, and every walk here ends at t = 2
+    k, words = code.k, len(code)
+    cases = [(cap, d) for cap in (0, 4 * words) for d in range(1, 2 * k + 2)]
+    for cap, d in cases:
+        monkeypatch.setattr(search, "_WITNESS_KEY_CAP", cap)
+        fallbacks.clear()
+        claimed = Code(code.n, code.k, 2, 0, d, code.words)
+        assert verify_code(claimed) == claimed.verified_min_distance == truth, (cap, d)
+        assert fallbacks == [2], (cap, d)
+    monkeypatch.setattr(search, "_WITNESS_KEY_CAP", 4 * words - 1)
+    assert search._witness_keys(core._incidence_rows(list(code.words), code.n, k, 2, 0), code.n, k, 2) is None
+    # 600^7 overflows int64 and 600^6 does not: a walk that reaches t = 7 falls back, at its first step or midway
+    n = 600
+    assert _greedy_fast._KeyBuilder(n, 4, 2).total_space >= 1 << 63 > _greedy_fast._KeyBuilder(n, 4, 3).total_space
+    monkeypatch.setattr(search, "_WITNESS_KEY_CAP", 1 << 24)
+    near = canonicalize([range(4), range(4, 8)], n)
+    far = canonicalize([range(100, 104), range(200, 204)], n)
+    for shared, d, expected in ((6, 1, [2]), (6, 3, [2]), (5, 2, [2]), (5, 3, [])):
+        other = canonicalize([range(4), [*range(4, shared), *range(300, 304 + 4 - shared)]], n)
+        fallbacks.clear()
+        claimed = Code(n, 4, 2, 0, d, frozenset([near, other, far]))
+        assert verify_code(claimed) == claimed.verified_min_distance == 8 - shared, (shared, d)
+        assert fallbacks == expected, (shared, d)
+    # the exact search's graph takes the pairwise comparison when its keys do not fit
+    monkeypatch.setattr(search, "_WITNESS_KEY_CAP", 0)
+    rows = core._universe_rows(8, 2, 2, 0)
+    universe = list(enumerate_words(8, 2, 2))
+    assert search._compatibility_masks(rows, 8, 2, 3) == search._pairwise_compatibility_masks(universe, 2, 3)
+
+
 def test_verify_stuple_code():
     words = frozenset(list(enumerate_words(7, 2, 3))[:12])
     code = Code(7, 2, 3, 0, 1, words)
