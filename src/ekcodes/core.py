@@ -6,16 +6,21 @@ so structural equality, hashing, and byte-stable serialization hold
 everywhere else in the package without further care.
 
 Validation happens at the API: the public constructors (KSubset, STuple,
-canonicalize, Code, code_from_json) check every input.  Kernels whose
-rows are canonical by construction (a monotone gather through sorted
-blocks, sorted translates, the greedy word stream) build their words
-through one private constructor, `_canonical_words`, which sets each
-part's elements and mask, and each word's hash, without re-checking them.
-A word's hash is that of its parts' element tuples, computed once.
+canonicalize, Code, code_from_json) check every input.
 
-Only this module knows a word's int-row form: `_incidence_rows` (words to
-rows), `_universe_blocks` (the one enumerator) and `_row_words` (rows to
-words, also for the public enumerators, one block at a time).
+A Code holds rows, not words: one read-only int32 table of canonical
+incidence rows (`_incidence_rows`), one row per word in code_to_json's
+order.  Kernels whose rows are canonical by construction (a monotone
+gather through sorted blocks, sorted translates, the greedy word stream,
+the exact search) pass them to the one trusted constructor,
+`Code._from_rows`, which sorts them and drops repeats without checking a
+word.  A code built from words derives its rows on first use, and one
+built from rows builds its words on first use, through `_row_words`
+(rows to words; for set words `_canonical_words`, which sets each part's
+elements and mask, and each word's hash, without re-checking them).  A
+word's hash is that of its parts' element tuples, computed once.
+`_universe_blocks` is the one enumerator of a universe's rows; the
+public enumerators build words from it one block at a time.
 """
 
 from __future__ import annotations
@@ -325,13 +330,36 @@ def _universe_rows(n: int, k: int, s: int, q: int) -> np.ndarray:
     return np.concatenate([np.empty((0, width), dtype=np.int32), *_universe_blocks(n, k, s, q)])
 
 
+def _row_symbols(rows: np.ndarray, n: int, k: int, s: int, q: int) -> np.ndarray:
+    """The symbol vectors (words, s, n) of q-ary incidence rows: _incidence_rows inverted."""
+    parts = rows.reshape(len(rows) * s, 2 * k)
+    symbols = np.zeros((len(parts), n), dtype=np.int32)
+    np.put_along_axis(symbols, parts[:, :k], parts[:, k:] - n - parts[:, :k] * q, axis=1)
+    return symbols.reshape(len(rows), s, n)
+
+
 def _row_words(rows: np.ndarray, n: int, k: int, s: int, q: int) -> list:
-    """Words from canonical set-world rows (unchecked) or single q-ary rows: _incidence_rows inverted."""
+    """Words from canonical rows, unchecked: _incidence_rows inverted."""
     if not q:
         return _canonical_words(n, rows.reshape(-1, s, k))
-    symbols = np.zeros((len(rows), n), dtype=np.int64)
-    np.put_along_axis(symbols, rows[:, :k], rows[:, k:] - n - rows[:, :k] * q, axis=1)
-    return [QaryWord(n, q, tuple(row)) for row in symbols.tolist()]
+    members = [[QaryWord(n, q, tuple(m)) for m in word] for word in _row_symbols(rows, n, k, s, q).tolist()]
+    return [m for m, in members] if s == 1 else [QaryPairWord(u, v) for u, v in members]
+
+
+def _sorted_rows(rows: np.ndarray, n: int, k: int, s: int, q: int) -> np.ndarray:
+    """Canonical rows in code_to_json's order, repeats dropped, as a read-only int32 table.
+
+    Set-world rows sort as they are; q-ary rows sort by their symbol vectors.
+    """
+    rows = np.asarray(rows, dtype=np.int32)
+    keys = _row_symbols(rows, n, k, s, q).reshape(len(rows), s * n) if q else rows
+    order = np.lexsort(keys.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)  # the first row of each run of equal rows
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rows = rows[first]
+    rows.flags.writeable = False
+    return rows
 
 
 def word_count(n: int, k: int, s: int = 2) -> int:
@@ -438,78 +466,123 @@ def enumerate_qary_words(n: int, k: int, q: int) -> Iterator[QaryWord]:
 
 Word = STuple | QaryWord | QaryPairWord
 
+
+def _check_parameters(k: int, s: int, q: int, d: int) -> None:
+    """A code's parameter checks, shared by both constructors."""
+    if k < 1 or s < 1 or d < 1:
+        raise ParameterError(f"need k, s, d >= 1, got k={k}, s={s}, d={d}")
+    if q == 1 or q < 0:
+        raise ParameterError(f"q must be 0 (set world) or >= 2, got q={q}")
+    if q and s > 2:
+        raise ParameterError(f"q-ary codes support s in {{1, 2}}, got s={s}")
+
+
 # q == 0 marks set-world codes; q >= 2 marks q-ary codes (s=1 single words,
 # s=2 disjoint-support pairs).
-@dataclass
 class Code:
-    """A set of canonical codewords with shared parameters and a claimed distance."""
+    """A set of canonical codewords with shared parameters and a claimed distance.
 
-    n: int
-    k: int
-    s: int
-    q: int
-    d: int
-    words: frozenset
-    verified_min_distance: int | float | None = None
+    A code holds its words as one read-only int32 table of canonical
+    incidence rows (`rows`, see _incidence_rows), one row per word in
+    code_to_json's order, and builds `words` from it on first access.  The
+    public constructor checks every word and derives the rows only when
+    asked; kernels that build canonical rows use the trusted `_from_rows`.
+    """
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.s < 1 or self.d < 1:
-            raise ParameterError(
-                f"need k, s, d >= 1, got k={self.k}, s={self.s}, d={self.d}"
-            )
-        if self.q == 0:
-            shape = (self.n, self.k, self.s)
-            for w in self.words:
-                if (
-                    not isinstance(w, STuple)
-                    or (w.parts[0].n, len(w.parts[0].elements), len(w.parts)) != shape
-                ):
+    __slots__ = ("n", "k", "s", "q", "d", "verified_min_distance", "_words", "_rows")
+    __hash__ = None  # mutable: verify_code stores its result
+
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        s: int,
+        q: int,
+        d: int,
+        words: Collection,
+        verified_min_distance: int | float | None = None,
+    ) -> None:
+        _check_parameters(k, s, q, d)
+        if q == 0:
+            shape = (n, k, s)
+            for w in words:
+                if not isinstance(w, STuple) or (w.parts[0].n, len(w.parts[0].elements), len(w.parts)) != shape:
                     raise ParameterError(f"word {w!r} does not match code parameters")
-        elif self.q >= 2:
-            if self.s == 1:
-                for w in self.words:
-                    if not isinstance(w, QaryWord) or (w.n, w.q) != (self.n, self.q):
-                        raise ParameterError(f"word {w!r} does not match code parameters")
-                    if w.weight != self.k:
-                        raise ParameterError(f"word {w!r} has weight {w.weight}, expected {self.k}")
-            elif self.s == 2:
-                for w in self.words:
-                    if not isinstance(w, QaryPairWord) or (w.n, w.q) != (self.n, self.q):
-                        raise ParameterError(f"word {w!r} does not match code parameters")
-                    if w.u.weight != self.k:
-                        raise ParameterError(f"word {w!r} has weight {w.u.weight}, expected {self.k}")
-            else:
-                raise ParameterError(f"q-ary codes support s in {{1, 2}}, got s={self.s}")
+        elif s == 1:
+            for w in words:
+                if not isinstance(w, QaryWord) or (w.n, w.q) != (n, q):
+                    raise ParameterError(f"word {w!r} does not match code parameters")
+                if w.weight != k:
+                    raise ParameterError(f"word {w!r} has weight {w.weight}, expected {k}")
         else:
-            raise ParameterError(f"q must be 0 (set world) or >= 2, got q={self.q}")
-        if not isinstance(self.words, frozenset):
-            self.words = frozenset(self.words)
+            for w in words:
+                if not isinstance(w, QaryPairWord) or (w.n, w.q) != (n, q):
+                    raise ParameterError(f"word {w!r} does not match code parameters")
+                if w.u.weight != k:
+                    raise ParameterError(f"word {w!r} has weight {w.u.weight}, expected {k}")
+        self.n, self.k, self.s, self.q, self.d = n, k, s, q, d
+        self.verified_min_distance = verified_min_distance
+        self._words = words if isinstance(words, frozenset) else frozenset(words)
+        self._rows = None
+
+    @classmethod
+    def _from_rows(cls, n: int, k: int, s: int, q: int, d: int, rows: np.ndarray) -> "Code":
+        """The code of canonical rows, trusted: sorted and repeats dropped, no word checked.
+
+        Callers that must not lose a repeat compare len(code) with their row count.
+        """
+        _check_parameters(k, s, q, d)
+        code = object.__new__(cls)
+        code.n, code.k, code.s, code.q, code.d = n, k, s, q, d
+        code.verified_min_distance = None
+        code._words = None
+        code._rows = _sorted_rows(rows, n, k, s, q)
+        return code
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            shape = (self.n, self.k, self.s, self.q)
+            self._rows = _sorted_rows(_incidence_rows(self._words, *shape), *shape)
+        return self._rows
+
+    @property
+    def words(self) -> frozenset:
+        if self._words is None:
+            self._words = frozenset(_row_words(self._rows, self.n, self.k, self.s, self.q))
+        return self._words
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self._rows) if self._words is None else len(self._words)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.n, self.k, self.s, self.q, self.d, self.verified_min_distance)
+            == (other.n, other.k, other.s, other.q, other.d, other.verified_min_distance)
+            and np.array_equal(self.rows, other.rows)
+        )
 
-def _word_rows(code: Code) -> list[list[list[int]]]:
-    if code.q == 0:
-        rows = [w.as_lists() for w in code.words]
-    elif code.s == 1:
-        rows = [[list(w.symbols)] for w in code.words]
-    else:
-        rows = [[list(w.u.symbols), list(w.v.symbols)] for w in code.words]
-    rows.sort()
-    return rows
+    def __repr__(self) -> str:
+        return (
+            f"Code(n={self.n!r}, k={self.k!r}, s={self.s!r}, q={self.q!r}, d={self.d!r}, "
+            f"words={self.words!r}, verified_min_distance={self.verified_min_distance!r})"
+        )
 
 
 def code_to_json(code: Code) -> str:
     """Serialize to the stable wire format (fixed key order, no whitespace)."""
     vmd = code.verified_min_distance
+    n, k, s, q = code.n, code.k, code.s, code.q
+    words = code.rows.reshape(-1, s, k) if q == 0 else _row_symbols(code.rows, n, k, s, q)
     payload = {
-        "n": code.n,
-        "k": code.k,
-        "s": code.s,
-        "q": code.q,
+        "n": n,
+        "k": k,
+        "s": s,
+        "q": q,
         "d": code.d,
-        "words": _word_rows(code),
+        "words": words.tolist(),
         "verified_min_distance": vmd if isinstance(vmd, int) else None,
     }
     return json.dumps(payload, separators=(",", ":"))
@@ -522,16 +595,20 @@ def code_from_json(text: str) -> Code:
         n, k, s, q, d = (int(obj[key]) for key in ("n", "k", "s", "q", "d"))
         raw_words = obj["words"]
         vmd = obj.get("verified_min_distance")
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        if not (vmd is None or type(vmd) is int or isinstance(vmd, float) and vmd.is_integer()):
+            raise TypeError(f"verified_min_distance {vmd!r} is not an integer")
+        words: set = set()
+        for row in raw_words:
+            if q == 0:
+                words.add(canonicalize(row, n, k))
+            elif s == 1:
+                words.add(QaryWord(n, q, tuple(row[0])))
+            else:
+                words.add(QaryPairWord(QaryWord(n, q, tuple(row[0])), QaryWord(n, q, tuple(row[1]))))
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed code file: {exc}") from exc
-    words: set = set()
-    for row in raw_words:
-        if q == 0:
-            words.add(canonicalize(row, n, k))
-        elif s == 1:
-            words.add(QaryWord(n, q, tuple(row[0])))
-        else:
-            words.add(QaryPairWord(QaryWord(n, q, tuple(row[0])), QaryWord(n, q, tuple(row[1]))))
     if len(words) != len(raw_words):
         raise ParameterError("code file contains duplicate words")
     return Code(n, k, s, q, d, frozenset(words), int(vmd) if vmd is not None else None)

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Code, ParameterError, PartSizeError, STuple, _canonical_words, canonicalize
+from .core import Code, ParameterError, PartSizeError, STuple, canonicalize
 
 
 def circular_distance(a: int, b: int, m: int) -> int:
@@ -377,10 +377,10 @@ def orbit_code(g: CyclicGeneratorPair) -> Code:
             f"generator pair is not antagonistic (condition {report.condition}: {report.detail})"
         )
     m, k = g.m, g.k
-    words = frozenset(_canonical_words(m, _orbit_rows((g.s_set, g.t_set), m)))
-    if len(words) != m:
+    code = Code._from_rows(m, k, 2, 0, 2 * k - 1, _orbit_rows((g.s_set, g.t_set), m).reshape(m, 2 * k))
+    if len(code) != m:
         raise ParameterError("orbit collapsed; generator pair is degenerate")
-    return Code(n=m, k=k, s=2, q=0, d=2 * k - 1, words=words)
+    return code
 
 
 def multi_orbit_code(m: int, generators: Sequence[STuple | Iterable[Iterable[int]]], d: int) -> Code:
@@ -403,20 +403,21 @@ def multi_orbit_code(m: int, generators: Sequence[STuple | Iterable[Iterable[int
         else:
             gens.append(canonicalize(gen, m))
     k = gens[0].k
-    orbits: list[frozenset[STuple]] = []
     for gen in gens:
         if gen.k != k:
             raise PartSizeError(f"generator {gen._key()} has parts of size {gen.k}, expected {k}")
-        orbits.append(frozenset(_canonical_words(m, _orbit_rows(gen._key(), m))))
-    words: set[STuple] = set()
-    for i, orbit in enumerate(orbits):
-        clash = words & orbit
+        if gen.s != 2:
+            raise ParameterError(f"word {gen!r} does not match code parameters")
+    rows: set[tuple[int, ...]] = set()
+    for i, gen in enumerate(gens):
+        orbit = set(map(tuple, _orbit_rows(gen._key(), m).reshape(m, 2 * k).tolist()))
+        clash = rows & orbit
         if clash:
-            shared = sorted(clash)[0]
+            shared = min(clash)
             raise ParameterError(
-                f"generator {i} shares orbit word {shared._key()} with an earlier generator"
+                f"generator {i} shares orbit word {(shared[:k], shared[k:])} with an earlier generator"
             )
-        words |= orbit
-    code = Code(n=m, k=k, s=2, q=0, d=d, words=frozenset(words))
+        rows |= orbit
+    code = Code._from_rows(m, k, 2, 0, d, np.array(list(rows)))
     verify_code(code)
     return code

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from ._greedy_fast import _CHUNK, _lex_columns, _permuted_chunks, _rows, claim_greedy
-from .core import Code, ParameterError, STuple, _canonical_words, _incidence_rows
+from .core import Code, ParameterError
 from .cyclic import _distance_bits, _extensions, _replay
 
 _VERIFY_T_SUBSET_CAP = 5_000_000
@@ -238,12 +238,12 @@ def compose_code(
     smallest point, so outputs are reproducible.
 
     Blocks are grouped by size and each group maps every base word at
-    once, as one numpy gather `blocks[:, base_rows]`.  Blocks are sorted
+    once, as one numpy gather `blocks[:, base.rows]`.  Blocks are sorted
     and the map is monotone, so each image part stays sorted, the part
     order is kept, and the rows go straight to the trusted constructor
-    `core._canonical_words`.  Words from different blocks share at most
-    2k-d points, so the one final length check below fails only on a
-    real fault.
+    `Code._from_rows`; no word object is built.  Words from different
+    blocks share at most 2k-d points, so the one final length check below
+    fails only on a real fault.
     """
     t = 2 * k - d + 1
     if design.t != t:
@@ -272,16 +272,12 @@ def compose_code(
                 f"no base code for block size {len(block)}; block skipped",
                 stacklevel=2,
             )
-    words: set[STuple] = set()
-    embedded = 0
-    for size, blocks in groups.items():
-        base_rows = _incidence_rows(bases[size].words, size, k, 2, 0).reshape(-1, 2, k)
-        rows = np.array(blocks, dtype=np.intp)[:, base_rows].reshape(-1, 2, k)
-        words.update(_canonical_words(design.v, rows))
-        embedded += len(rows)
-    if len(words) != embedded:
-        raise ParameterError(f"{embedded - len(words)} embedded words duplicate others")
-    return Code(n=design.v, k=k, s=2, q=0, d=d, words=frozenset(words))
+    images = [np.array(blocks, dtype=np.int32)[:, bases[size].rows] for size, blocks in groups.items()]
+    rows = np.concatenate([np.empty((0, 2 * k), dtype=np.int32), *(image.reshape(-1, 2 * k) for image in images)])
+    code = Code._from_rows(design.v, k, 2, 0, d, rows)
+    if len(code) != len(rows):
+        raise ParameterError(f"{len(rows) - len(code)} embedded words duplicate others")
+    return code
 
 
 def design_to_json(design: BlockDesign) -> str:

@@ -19,8 +19,9 @@ through the incidence kernel's matching test.  exact_max_code is a
 branch-and-bound clique search over the compatibility graph, which it
 builds from the witness keys of the universe rows; exhaustive_max_code,
 a plain enumeration over a graph built by comparing every pair of words,
-is kept alongside as an independent oracle.  Only core converts words
-and rows.
+is kept alongside as an independent oracle.  Every function here reads
+and builds codes as rows (`Code.rows`, `Code._from_rows`); none builds a
+word.
 """
 
 from __future__ import annotations
@@ -33,16 +34,7 @@ import numpy as np
 
 from . import _greedy_fast
 from .bounds import asymptotic_constant, upper_bound
-from .core import (
-    Code,
-    ParameterError,
-    STuple,
-    _incidence_rows,
-    _row_words,
-    _universe_rows,
-    qary_word_count,
-    word_count,
-)
+from .core import Code, ParameterError, _universe_rows, qary_word_count, word_count
 from .metric import _best_shares
 
 _PAIR_TILE = 1 << 13
@@ -174,10 +166,10 @@ def _witness_best_common(rows: np.ndarray, n: int, k: int, d: int) -> int | None
 def verify_code(code: Code) -> int | float:
     """Exact minimum pairwise distance; stored on the code as a side effect.
 
-    Codes with fewer than two words verify to the +infinity sentinel.  Each
-    word becomes a row of incidence ids (`_incidence_rows`): s-tuples of
-    k-subsets have s parts of k elements, q-ary words one part of 2k ids,
-    and q-ary pairs two parts of 2k ids.  The distance of two rows of
+    Codes with fewer than two words verify to the +infinity sentinel.  The
+    kernels read the code's rows of incidence ids (`Code.rows`): s-tuples
+    of k-subsets have s parts of k elements, q-ary words one part of 2k
+    ids, and q-ary pairs two parts of 2k ids.  The distance of two rows of
     width w is w minus their best part matching of shared ids, so the
     minimum is w minus the largest such matching over all pairs.
     Set-world pairs find it by the witness-key walk
@@ -186,11 +178,10 @@ def verify_code(code: Code) -> int | float:
     whose keys outgrow int64 or _WITNESS_KEY_CAP, run the incidence kernel
     (`_best_common`) over the rows.
     """
-    words = list(code.words)
-    if len(words) < 2:
+    if len(code) < 2:
         code.verified_min_distance = math.inf
         return math.inf
-    rows = _incidence_rows(words, code.n, code.k, code.s, code.q)
+    rows = code.rows
     best = None
     if code.q == 0 and code.s == 2:
         best = _witness_best_common(rows, code.n, code.k, code.d)
@@ -262,8 +253,7 @@ def greedy_code(
             chunks = [table[ids] for ids in _greedy_fast._permuted_chunks(size, seed, _greedy_fast._CHUNK)]
         stream = np.concatenate([np.empty((0, width), dtype=np.int32), *chunks])
         rows = _greedy_fast.greedy_by_distance(stream, s, width - d)
-    rows = np.array(rows, dtype=np.intp).reshape(-1, width)
-    return Code(n, k, s, q, d, frozenset(_row_words(rows, n, k, s, q)))
+    return Code._from_rows(n, k, s, q, d, np.array(rows, dtype=np.int32).reshape(-1, width))
 
 
 @dataclass
@@ -290,7 +280,7 @@ def _compatibility_masks(rows: np.ndarray, n: int, k: int, d: int) -> list[int]:
     # peaks near 400 MB, against 30 MB pairwise.
     keys = None if 2 * math.comb(2 * k, 2 * k - d + 1) > len(rows) else _witness_keys(rows, n, k, d)
     if keys is None:
-        return _pairwise_compatibility_masks(_row_words(rows, n, k, 2, 0), k, d)
+        return _pairwise_compatibility_masks(rows, k, d)
     per_word = keys.shape[1]
     keys = keys.ravel()
     order = np.argsort(keys)
@@ -309,14 +299,14 @@ def _compatibility_masks(rows: np.ndarray, n: int, k: int, d: int) -> list[int]:
     return [full & ~mask for mask in conflict]
 
 
-def _pairwise_compatibility_masks(words: list[STuple], k: int, d: int) -> list[int]:
-    """Adjacency bitsets of the distance->=d graph, one bitmask comparison per pair."""
+def _pairwise_compatibility_masks(rows: np.ndarray, k: int, d: int) -> list[int]:
+    """Adjacency bitsets of the distance->=d graph of pair rows, one bitmask comparison per pair."""
     limit = 2 * k - d
-    masks = [(w.parts[0].mask, w.parts[1].mask) for w in words]
-    adjacency = [0] * len(words)
-    for i in range(len(words)):
+    masks = [(sum(1 << e for e in row[:k]), sum(1 << e for e in row[k:])) for row in rows.tolist()]
+    adjacency = [0] * len(masks)
+    for i in range(len(masks)):
         a1, a2 = masks[i]
-        for j in range(i + 1, len(words)):
+        for j in range(i + 1, len(masks)):
             b1, b2 = masks[j]
             straight = (a1 & b1).bit_count() + (a2 & b2).bit_count()
             crossed = (a1 & b2).bit_count() + (a2 & b1).bit_count()
@@ -407,7 +397,7 @@ def exact_max_code(
 
     expand((1 << len(rows)) - 1, 0, 0)
     chosen = [i for i in range(len(rows)) if best_set >> i & 1]
-    code = Code(n, k, 2, 0, d, frozenset(_row_words(rows[chosen], n, k, 2, 0)))
+    code = Code._from_rows(n, k, 2, 0, d, rows[chosen])
     optimal = not (stop_wall or stop_nodes)
     return SearchReport(
         best_code=code,
@@ -423,8 +413,7 @@ def exhaustive_max_code(n: int, k: int, d: int, word_ceiling: int = 2_000) -> in
     total = word_count(n, k, 2)
     if total > word_ceiling:
         raise ParameterError(f"universe has {total} words, above the ceiling {word_ceiling}")
-    words = _row_words(_universe_rows(n, k, 2, 0), n, k, 2, 0)
-    adjacency = _pairwise_compatibility_masks(words, k, d)
+    adjacency = _pairwise_compatibility_masks(_universe_rows(n, k, 2, 0), k, d)
     best = 0
 
     def extend(candidates: int, size: int) -> None:
@@ -437,7 +426,7 @@ def exhaustive_max_code(n: int, k: int, d: int, word_ceiling: int = 2_000) -> in
             candidates ^= low
             extend(candidates & adjacency[v], size + 1)
 
-    extend((1 << len(words)) - 1, 0)
+    extend((1 << len(adjacency)) - 1, 0)
     return best
 
 

@@ -103,6 +103,32 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert "meets_claim: false" in out
 
 
+_PAIR_FILE = {"n": 6, "k": 2, "s": 2, "q": 0, "d": 3, "words": [[[0, 1], [2, 3]]], "verified_min_distance": None}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"words": 5},
+        {"words": [7]},
+        {"q": 3, "s": 1, "words": [7]},
+        {"words": [[[0, "a"], [2, 3]]]},
+        {"verified_min_distance": "x"},
+        {"verified_min_distance": 2.5},
+    ],
+    ids=["words-number", "word-number", "qary-word-number", "element-string", "distance-string", "distance-fraction"],
+)
+def test_malformed_code_file_is_refused(tmp_path, capsys, change):
+    text = json.dumps({**_PAIR_FILE, **change})
+    with pytest.raises(ekcodes.ParameterError, match="^malformed code file: "):
+        ekcodes.code_from_json(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed code file: ") and "Traceback" not in err
+
+
 def test_antagonistic_check(capsys):
     code, out, _ = run(capsys, "antagonistic", "check", "--m", "9", "--s", "1,8", "--t", "2,3")
     assert code == 0 and "antagonistic: true" in out

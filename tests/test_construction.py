@@ -1,8 +1,9 @@
 """Differential tests for the trusted construction path.
 
-compose_code, greedy_code, orbit_code, multi_orbit_code, enumerate_words
-and exact_max_code build their words from canonical rows through
-`core._canonical_words`, which skips validation.  Each call site is
+compose_code, greedy_code, orbit_code, multi_orbit_code and
+exact_max_code build their codes from canonical rows through the trusted
+`Code._from_rows`, and a code's words, like enumerate_words', come from
+`core._canonical_words`; both skip validation.  Each call site is
 compared here with the validated path it replaced: every word must equal
 its `canonicalize`-built twin with the same hash, masks and key, hold
 only Python ints, and serialize to the same bytes.
@@ -172,6 +173,20 @@ def test_compose_length_check_catches_duplicate_words(monkeypatch):
     monkeypatch.setattr(designs, "verify_design", lambda design: DesignVerification("packing"))
     with pytest.raises(ParameterError, match="duplicate"):
         compose_code(twice, base, 2, 2)
+
+
+def test_composition_builds_no_words(monkeypatch):
+    """Orbit, compose, verify and save of the 7,220-word AG(19) composition run on rows alone."""
+
+    def refuse(*args):
+        raise AssertionError("a word object was built")
+
+    monkeypatch.setattr(core, "_canonical_words", refuse)
+    base = orbit_code(CyclicGeneratorPair(19, (1, 5, 19), (2, 13, 15)))
+    assert verify_code(base) == 5
+    code = compose_code(affine_plane(19), base, k=3, d=5)
+    assert len(code) == 7220 and verify_code(code) == 5
+    assert code_to_json(code).endswith(',"verified_min_distance":5}')
 
 
 # ------------------------------------------------------------------ greedy

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import warnings
 from itertools import islice, permutations
 
@@ -242,6 +243,61 @@ def test_code_json_qary_round_trip():
     code2 = Code(4, 2, 2, 3, 1, pairs)
     back2 = code_from_json(code_to_json(code2))
     assert back2.words == pairs
+
+
+def _random_words(rng, n, k, s, q, size):
+    """Up to `size` distinct random words of one kind (fewer if 200 draws find no more)."""
+    words = set()
+    for _ in range(200):
+        if len(words) == size:
+            break
+        elements = rng.sample(range(n), s * k)
+        if q == 0:
+            words.add(canonicalize([elements[i * k : (i + 1) * k] for i in range(s)], n))
+            continue
+        members = []
+        for i in range(s):
+            symbols = [0] * n
+            for position in elements[i * k : (i + 1) * k]:
+                symbols[position] = rng.randint(1, q - 1)
+            members.append(QaryWord(n, q, tuple(symbols)))
+        words.add(members[0] if s == 1 else QaryPairWord(*members))
+    return words
+
+
+def _json_rows(word):
+    """A word's row in the wire format, from its objects."""
+    if isinstance(word, STuple):
+        return word.as_lists()
+    return [list(word.symbols)] if isinstance(word, QaryWord) else [list(word.u.symbols), list(word.v.symbols)]
+
+
+def test_row_and_word_constructors_agree():
+    """Code(words) and the trusted Code._from_rows(rows) hold the same code, observably."""
+    rng = np.random.default_rng(22)
+    draws = random.Random(22)
+    kinds = [(s, 0) for s in (1, 2, 3, 4)] + [(1, q) for q in (2, 3, 4)] + [(2, q) for q in (2, 3)]
+    for s, q in kinds:
+        for size in (0, 1, 2, 9, 40):
+            k = draws.randint(1, 3)
+            n = s * k + draws.randint(0, 6)
+            d = draws.randint(1, 2 * s * k if q else s * k)
+            words = _random_words(draws, n, k, s, q, size)
+            public = Code(n, k, s, q, d, frozenset(words))
+            rows = core._incidence_rows(list(words), n, k, s, q)
+            repeats = rng.integers(0, max(len(rows), 1), size=len(rows) // 2)
+            trusted = Code._from_rows(n, k, s, q, d, rows[np.concatenate([rng.permutation(len(rows)), repeats])])
+            case = (n, k, s, q, d, size)
+            assert len(trusted) == len(public) == len(words), case
+            assert trusted.rows.dtype == np.int32 and not trusted.rows.flags.writeable, case
+            np.testing.assert_array_equal(trusted.rows, public.rows)
+            assert trusted.words == public.words == words, case
+            assert trusted == public, case
+            text = code_to_json(trusted)
+            assert code_to_json(public) == text, case
+            assert json.loads(text)["words"] == sorted(map(_json_rows, words)), case
+            back = code_from_json(text)
+            assert back == trusted and code_to_json(back) == text, case
 
 
 def test_code_rejects_mismatched_words():

@@ -312,6 +312,17 @@ def test_multi_orbit_collision_detected():
         multi_orbit_code(17, [gen, shifted], d=3)
 
 
+def test_multi_orbit_edge_cases():
+    with pytest.raises(ParameterError, match="does not match code parameters"):
+        multi_orbit_code(17, [((0,), (2,), (5,))], d=1)  # three parts: not a pair code
+    short = multi_orbit_code(8, [((0, 4), (2, 6))], d=1)  # translates by 2 repeat the word
+    assert short.words == {canonicalize([(0, 4), (2, 6)], 8), canonicalize([(1, 5), (3, 7)], 8)}
+    assert len(short) == 2 and short.verified_min_distance == 4
+    gens = [((0, 7), (2, 6)), ((0, 11), (7, 8)), ((3, 10), (5, 9))]
+    with pytest.raises(ParameterError, match=r"^generator 2 shares orbit word \(\(0, 4\), \(5, 15\)\) with an earlier"):
+        multi_orbit_code(17, gens, d=3)
+
+
 def test_multi_orbit_accepts_stuple_generators():
     gen = canonicalize([(0, 7), (2, 6)], 17)
     code = multi_orbit_code(17, [gen], d=3)

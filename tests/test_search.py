@@ -14,8 +14,10 @@ from ekcodes import (
     QaryPairWord,
     QaryWord,
     STuple,
+    affine_plane,
     canonicalize,
     code_to_json,
+    compose_code,
     enumerate_qary_words,
     enumerate_words,
     exact_max_code,
@@ -34,6 +36,7 @@ from ekcodes import (
     verify_code,
     witness_set,
     word_count,
+    zero_sum_quadruples,
 )
 from ekcodes import _greedy_fast, core, metric, search
 
@@ -299,7 +302,8 @@ def test_witness_walk_falls_back_to_best_common(monkeypatch):
     monkeypatch.setattr(search, "_WITNESS_KEY_CAP", 0)
     rows = core._universe_rows(8, 2, 2, 0)
     universe = list(enumerate_words(8, 2, 2))
-    assert search._compatibility_masks(rows, 8, 2, 3) == search._pairwise_compatibility_masks(universe, 2, 3)
+    pairwise = search._pairwise_compatibility_masks(core._incidence_rows(universe, 8, 2, 2, 0), 2, 3)
+    assert search._compatibility_masks(rows, 8, 2, 3) == pairwise
 
 
 def test_verify_stuple_code():
@@ -509,11 +513,64 @@ def test_greedy_with_open_matching_bounds_matches_per_pair_oracle(monkeypatch, n
     assert batches  # some pairs fell between the largest cell and the row/column-maxima bound
 
 
-def test_greedy_large_tuple_code_is_pinned():
-    """(11,3,3) s=3 at seed 1 keeps 293 words; its JSON bytes are pinned."""
-    text = code_to_json(greedy_code(11, 3, 3, 1, s=3))
-    assert len(text) == 7930
-    digest = "e2a07032e803ba0bc09d50b05da377af0f0da78b9f1295fc961363c5c23ec16a"
+def _verified(code):
+    verify_code(code)
+    return code
+
+
+_PAIR19 = CyclicGeneratorPair(19, (1, 5, 19), (2, 13, 15))
+
+
+def _sqs64_composition():
+    base = _verified(Code(4, 2, 2, 0, 2, frozenset(enumerate_words(4, 2, 2))))
+    return compose_code(zero_sum_quadruples(6), base, k=2, d=2)
+
+
+@pytest.mark.parametrize(
+    "build, length, digest",
+    [
+        pytest.param(
+            lambda: orbit_code(_PAIR19),
+            467, "302817ee9856fc0755cdda1aabd31d6c29624574866458c30cedf118a3e56c5c", id="pair19-orbit",
+        ),
+        pytest.param(
+            lambda: multi_orbit_code(17, [((0, 7), (2, 6)), ((0, 11), (7, 8))], d=3),
+            600, "ef00f46f57426777b69b0950e2f77ae1300424f82fb59f283145efeeb446ea97", id="multi-orbit-17",
+        ),
+        pytest.param(
+            lambda: compose_code(affine_plane(19), _verified(orbit_code(_PAIR19)), k=3, d=5),
+            203472, "b5dd9f9a2366495791f3f891a846e803a06c29a0a10c1f3bc43d7c5ad5e779e0", id="ag19-composition",
+        ),
+        pytest.param(
+            _sqs64_composition,
+            543005, "dafcc626022954a9e9445ade4ceebf7989314bdc5d138ea52a01d57fea26a253", id="sqs64-composition",
+        ),
+        pytest.param(
+            lambda: greedy_code(12, 2, 3, 1, mode="witness"),
+            262, "741ee1a71cf6f2db7339104b52027e6316ec69658b64ad1e1d16e25335e198ce", id="greedy-12-2-3-witness",
+        ),
+        pytest.param(
+            lambda: greedy_code(12, 2, 3, 1, mode="distance"),
+            262, "741ee1a71cf6f2db7339104b52027e6316ec69658b64ad1e1d16e25335e198ce", id="greedy-12-2-3-distance",
+        ),
+        pytest.param(
+            lambda: greedy_code(9, 2, 3, 1, q=3),
+            268, "ddf6b4501549125aacce9ae37523bf768ad68fd93d37658e3d0f4f68505911eb", id="greedy-q3-9-2-3",
+        ),
+        pytest.param(
+            lambda: exact_max_code(8, 2, 3).best_code,
+            154, "f5b3eae979d6b1f396bdbcb9c1caf3e7e177433be3a276d3667e4f245fa54504", id="exact-8-2-3",
+        ),
+        pytest.param(  # 293 words
+            lambda: greedy_code(11, 3, 3, 1, s=3),
+            7930, "e2a07032e803ba0bc09d50b05da377af0f0da78b9f1295fc961363c5c23ec16a", id="greedy-s3-11-3-3",
+        ),
+    ],
+)
+def test_code_json_is_pinned(build, length, digest):
+    """Every producer's JSON bytes, pinned: length and SHA-256."""
+    text = code_to_json(build())
+    assert len(text) == length
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -671,10 +728,10 @@ def test_ratio_experiment_table():
 def test_witness_graph_matches_pairwise_graph(k, n_values):
     for n in n_values:
         rows = core._universe_rows(n, k, 2, 0)
-        words = list(enumerate_words(n, k, 2))
+        word_rows = core._incidence_rows(list(enumerate_words(n, k, 2)), n, k, 2, 0)
         for d in range(1, 2 * k + 1):
             assert search._compatibility_masks(rows, n, k, d) == (
-                search._pairwise_compatibility_masks(words, k, d)
+                search._pairwise_compatibility_masks(word_rows, k, d)
             ), (n, k, d)
 
 
