@@ -14,13 +14,12 @@ order.  Kernels whose rows are canonical by construction (a monotone
 gather through sorted blocks, sorted translates, the greedy word stream,
 the exact search) pass them to the one trusted constructor,
 `Code._from_rows`, which sorts them and drops repeats without checking a
-word.  A code built from words derives its rows on first use, and one
-built from rows builds its words on first use, through `_row_words`
-(rows to words; for set words `_canonical_words`, which sets each part's
-elements and mask, and each word's hash, without re-checking them).  A
-word's hash is that of its parts' element tuples, computed once.
-`_universe_blocks` is the one enumerator of a universe's rows; the
-public enumerators build words from it one block at a time.
+word.  A code built from words derives its rows at once.  Words come
+from rows in one place, `_row_words`, and only through the checked
+constructors, so every word the package hands out (`code.words`, the
+public enumerators) has passed their checks, and a bad trusted row
+raises there.  `_universe_blocks` is the one enumerator of a universe's
+rows; the public enumerators build words from it one block at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, product, repeat
+from itertools import chain, combinations, islice, product
 from operator import attrgetter, mul
 from pathlib import Path
 from typing import Collection, Iterable, Iterator
@@ -143,7 +142,6 @@ class STuple:
     """
 
     parts: tuple[KSubset, ...]
-    _hash: int | None = field(init=False, repr=False, compare=False, default=None)  # set once computed
 
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
@@ -192,11 +190,7 @@ class STuple:
         return isinstance(other, STuple) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(tuple([p.elements for p in self.parts]))  # == hash(self._key())
-            _setattr(self, "_hash", h)
-        return h
+        return hash(tuple([p.elements for p in self.parts]))  # == hash(self._key())
 
     def __lt__(self, other: "STuple") -> bool:
         return self._key() < other._key()
@@ -241,34 +235,6 @@ def canonicalize(raw: Iterable[Iterable[int]], n: int, k: int | None = None) -> 
             if len(p.elements) != k:
                 raise PartSizeError(f"part {p.elements} has size {len(p.elements)}, expected {k}")
     return STuple(tuple(parts))
-
-
-def _canonical_words(n: int, rows: np.ndarray) -> list[STuple]:
-    """STuples from an int array of shape (words, s, k), without validation.
-
-    Only for rows canonical by construction: each part strictly increasing
-    and inside [0, n), the parts of a row pairwise disjoint and ordered by
-    their smallest element.  The result equals what `canonicalize` builds
-    from the same rows (same elements as Python ints, same masks, hashes
-    and keys), minus the checks.
-    """
-    _, s, k = rows.shape
-    flat = rows.reshape(-1, k)
-    # gathers from object arrays, so every part reuses the same n int
-    # objects; zipping the k element columns yields each part's tuple
-    columns = np.array(range(n), dtype=object)[flat.T].tolist()
-    masks = np.array([1 << e for e in range(n)], dtype=object)[flat].sum(axis=1).tolist()
-
-    def word(parts: tuple[KSubset, ...], key_hash: int) -> STuple:
-        w = object.__new__(STuple)
-        _setattr(w, "parts", parts)
-        _setattr(w, "_hash", key_hash)
-        return w
-
-    elements = list(zip(*columns))
-    parts = list(map(_new_part, repeat(n), elements, masks))
-    key_hashes = map(hash, zip(*(elements[i::s] for i in range(s))))
-    return list(map(word, zip(*(parts[i::s] for i in range(s))), key_hashes))
 
 
 def _incidence_rows(words: Collection, n: int, k: int, s: int, q: int) -> np.ndarray:
@@ -339,9 +305,9 @@ def _row_symbols(rows: np.ndarray, n: int, k: int, s: int, q: int) -> np.ndarray
 
 
 def _row_words(rows: np.ndarray, n: int, k: int, s: int, q: int) -> list:
-    """Words from canonical rows, unchecked: _incidence_rows inverted."""
+    """Words from rows through the checked constructors: _incidence_rows inverted."""
     if not q:
-        return _canonical_words(n, rows.reshape(-1, s, k))
+        return [STuple(tuple([KSubset.of(part, n) for part in word])) for word in rows.reshape(-1, s, k).tolist()]
     members = [[QaryWord(n, q, tuple(m)) for m in word] for word in _row_symbols(rows, n, k, s, q).tolist()]
     return [m for m, in members] if s == 1 else [QaryPairWord(u, v) for u, v in members]
 
@@ -484,9 +450,10 @@ class Code:
 
     A code holds its words as one read-only int32 table of canonical
     incidence rows (`rows`, see _incidence_rows), one row per word in
-    code_to_json's order, and builds `words` from it on first access.  The
-    public constructor checks every word and derives the rows only when
-    asked; kernels that build canonical rows use the trusted `_from_rows`.
+    code_to_json's order.  The public constructor reads `words` once,
+    checks every word and derives the rows at once; kernels that build
+    canonical rows use the trusted `_from_rows`, and such a code builds
+    `words` through the checked constructors on first access.
     """
 
     __slots__ = ("n", "k", "s", "q", "d", "verified_min_distance", "_words", "_rows")
@@ -503,6 +470,8 @@ class Code:
         verified_min_distance: int | float | None = None,
     ) -> None:
         _check_parameters(k, s, q, d)
+        if not isinstance(words, frozenset):
+            words = tuple(words)  # an iterator is read once, before the checks
         if q == 0:
             shape = (n, k, s)
             for w in words:
@@ -522,8 +491,8 @@ class Code:
                     raise ParameterError(f"word {w!r} has weight {w.u.weight}, expected {k}")
         self.n, self.k, self.s, self.q, self.d = n, k, s, q, d
         self.verified_min_distance = verified_min_distance
-        self._words = words if isinstance(words, frozenset) else frozenset(words)
-        self._rows = None
+        self._words = frozenset(words)
+        self._rows = _sorted_rows(_incidence_rows(self._words, n, k, s, q), n, k, s, q)
 
     @classmethod
     def _from_rows(cls, n: int, k: int, s: int, q: int, d: int, rows: np.ndarray) -> "Code":
@@ -541,9 +510,6 @@ class Code:
 
     @property
     def rows(self) -> np.ndarray:
-        if self._rows is None:
-            shape = (self.n, self.k, self.s, self.q)
-            self._rows = _sorted_rows(_incidence_rows(self._words, *shape), *shape)
         return self._rows
 
     @property
@@ -553,7 +519,7 @@ class Code:
         return self._words
 
     def __len__(self) -> int:
-        return len(self._rows) if self._words is None else len(self._words)
+        return len(self._rows)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -569,6 +535,14 @@ class Code:
             f"Code(n={self.n!r}, k={self.k!r}, s={self.s!r}, q={self.q!r}, d={self.d!r}, "
             f"words={self.words!r}, verified_min_distance={self.verified_min_distance!r})"
         )
+
+
+def _parse_float(text: str) -> int:
+    """json's parse_float hook for code and design files: an integral float as an int, any other refused."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"{text} is not an integer")
+    return int(value)
 
 
 def code_to_json(code: Code) -> str:
@@ -591,11 +565,11 @@ def code_to_json(code: Code) -> str:
 def code_from_json(text: str) -> Code:
     """Parse the wire format back into a Code, re-canonicalizing every word."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_parse_float)
         n, k, s, q, d = (int(obj[key]) for key in ("n", "k", "s", "q", "d"))
         raw_words = obj["words"]
         vmd = obj.get("verified_min_distance")
-        if not (vmd is None or type(vmd) is int or isinstance(vmd, float) and vmd.is_integer()):
+        if not (vmd is None or type(vmd) is int):
             raise TypeError(f"verified_min_distance {vmd!r} is not an integer")
         words: set = set()
         for row in raw_words:
@@ -611,7 +585,7 @@ def code_from_json(text: str) -> Code:
         raise ParameterError(f"malformed code file: {exc}") from exc
     if len(words) != len(raw_words):
         raise ParameterError("code file contains duplicate words")
-    return Code(n, k, s, q, d, frozenset(words), int(vmd) if vmd is not None else None)
+    return Code(n, k, s, q, d, frozenset(words), vmd)
 
 
 def save_code(code: Code, path: str | Path) -> None:

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from ._greedy_fast import _CHUNK, _lex_columns, _permuted_chunks, _rows, claim_greedy
-from .core import Code, ParameterError
+from .core import Code, ParameterError, _parse_float
 from .cyclic import _distance_bits, _extensions, _replay
 
 _VERIFY_T_SUBSET_CAP = 5_000_000
@@ -292,7 +292,7 @@ def design_to_json(design: BlockDesign) -> str:
 
 def design_from_json(text: str) -> BlockDesign:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_parse_float)
         v = int(obj["v"])
         t = int(obj["t"])
         blocks = tuple(tuple(int(x) for x in b) for b in obj["blocks"])

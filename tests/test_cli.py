@@ -115,8 +115,21 @@ _PAIR_FILE = {"n": 6, "k": 2, "s": 2, "q": 0, "d": 3, "words": [[[0, 1], [2, 3]]
         {"words": [[[0, "a"], [2, 3]]]},
         {"verified_min_distance": "x"},
         {"verified_min_distance": 2.5},
+        {"n": 6.9},
+        {"words": [[[0, 1.7], [2, 3]]]},
+        {"q": 3, "s": 1, "words": [[[1, 1.5, 0, 0, 0, 0]]]},
     ],
-    ids=["words-number", "word-number", "qary-word-number", "element-string", "distance-string", "distance-fraction"],
+    ids=[
+        "words-number",
+        "word-number",
+        "qary-word-number",
+        "element-string",
+        "distance-string",
+        "distance-fraction",
+        "n-fraction",
+        "element-fraction",
+        "qary-symbol-fraction",
+    ],
 )
 def test_malformed_code_file_is_refused(tmp_path, capsys, change):
     text = json.dumps({**_PAIR_FILE, **change})
@@ -127,6 +140,32 @@ def test_malformed_code_file_is_refused(tmp_path, capsys, change):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: malformed code file: ") and "Traceback" not in err
+
+
+def test_integral_floats_in_a_code_file_load_as_ints():
+    text = json.dumps({**_PAIR_FILE, "n": 6.0, "words": [[[0, 1.0], [2, 3]]], "verified_min_distance": 3.0})
+    assert ekcodes.code_from_json(text) == ekcodes.code_from_json(json.dumps({**_PAIR_FILE, "verified_min_distance": 3}))
+
+
+_DESIGN_FILE = {"v": 6, "t": 2, "blocks": [[0, 1, 3]]}
+
+
+@pytest.mark.parametrize("change", [{"v": 6.9}, {"blocks": [[0, 1.7, 3]]}], ids=["v-fraction", "point-fraction"])
+def test_malformed_design_file_is_refused(tmp_path, capsys, change):
+    text = json.dumps({**_DESIGN_FILE, **change})
+    with pytest.raises(ekcodes.ParameterError, match="^malformed design file: "):
+        ekcodes.design_from_json(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "design", "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed design file: ") and "Traceback" not in err
+
+
+def test_integral_floats_in_a_design_file_load_as_ints():
+    design = ekcodes.design_from_json(json.dumps({"v": 6.0, "t": 2.0, "blocks": [[0, 1.0, 3]]}))
+    assert design == ekcodes.design_from_json(json.dumps(_DESIGN_FILE))
+    assert all(type(x) is int for x in (design.v, design.t, *design.blocks[0]))
 
 
 def test_antagonistic_check(capsys):

@@ -2,11 +2,12 @@
 
 compose_code, greedy_code, orbit_code, multi_orbit_code and
 exact_max_code build their codes from canonical rows through the trusted
-`Code._from_rows`, and a code's words, like enumerate_words', come from
-`core._canonical_words`; both skip validation.  Each call site is
-compared here with the validated path it replaced: every word must equal
-its `canonicalize`-built twin with the same hash, masks and key, hold
-only Python ints, and serialize to the same bytes.
+`Code._from_rows`, which checks no word.  A code's words, like
+enumerate_words', come from `core._row_words`, the one builder of words
+from rows.  Each call site is compared here with the validated path it
+replaced: every word must equal its `canonicalize`-built twin with the
+same hash, masks and key, hold only Python ints, and serialize to the
+same bytes.
 """
 
 import random
@@ -75,14 +76,14 @@ def test_canonical_words_match_canonicalize_on_random_rows():
         for _ in range(rng.randint(1, 6)):
             elements = rng.sample(range(n), s * k)
             raw.append(sorted(sorted(elements[i * k : (i + 1) * k]) for i in range(s)))
-        words = core._canonical_words(n, np.array(raw, dtype=np.int64))
+        words = core._row_words(np.array(raw, dtype=np.int64), n, k, s, 0)
         reference = [canonicalize(row, n, k) for row in raw]
         assert words == reference
         _assert_same_words(Code(n, k, s, 0, 1, frozenset(words)), set(reference))
 
 
 def test_canonical_words_of_no_rows():
-    assert core._canonical_words(10, np.zeros((0, 2, 3), dtype=np.intp)) == []
+    assert core._row_words(np.zeros((0, 2, 3), dtype=np.intp), 10, 3, 2, 0) == []
 
 
 # ------------------------------------------------------------------ compose
@@ -181,7 +182,7 @@ def test_composition_builds_no_words(monkeypatch):
     def refuse(*args):
         raise AssertionError("a word object was built")
 
-    monkeypatch.setattr(core, "_canonical_words", refuse)
+    monkeypatch.setattr(core, "_row_words", refuse)
     base = orbit_code(CyclicGeneratorPair(19, (1, 5, 19), (2, 13, 15)))
     assert verify_code(base) == 5
     code = compose_code(affine_plane(19), base, k=3, d=5)

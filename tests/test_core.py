@@ -308,6 +308,27 @@ def test_code_rejects_mismatched_words():
         Code(6, 2, 2, 1, 3, words)  # q=1 invalid
 
 
+def test_code_built_from_an_iterator_keeps_its_words():
+    words = frozenset(enumerate_words(6, 2, 2))
+    for source in ((w for w in sorted(words)), enumerate_words(6, 2, 2)):
+        code = Code(6, 2, 2, 0, 3, source)
+        assert len(code) == word_count(6, 2, 2) and code.words == words
+        assert code == Code(6, 2, 2, 0, 3, words)
+    with pytest.raises(ParameterError, match=r"^word \[1, 2\] does not match code parameters$"):
+        Code(6, 2, 2, 0, 3, iter([[1, 2]]))
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [([0, 1, 1, 2], OverlapError), ([0, 1, 2, 7], ElementRangeError)],
+    ids=["overlapping-parts", "element-outside"],
+)
+def test_bad_trusted_row_is_caught_at_the_words(row, error):
+    code = Code._from_rows(6, 2, 2, 0, 3, np.array([row]))
+    with pytest.raises(error):
+        code.words
+
+
 def test_code_infinite_sentinel_serializes_to_null():
     word = canonicalize([[0, 1], [2, 3]], 6)
     code = Code(6, 2, 2, 0, 3, frozenset({word}), verified_min_distance=math.inf)
