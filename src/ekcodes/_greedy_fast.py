@@ -6,12 +6,13 @@ the copy with min(A) > min(B), which leaves each unordered word once;
 the drop is decided from the two rank indices alone, so only the kept
 half is gathered and lifted.  s-tuples (s != 2) and q-ary words permute
 their universe's incidence rows.  greedy_by_distance keeps the first
-live row of the stream and strikes, in one numpy pass, every later row
-closer than d to it, through metric._best_shares, the matching test of
-verify_code's incidence kernel (search._best_common); for pairs,
-greedy_pairs accepts the same words by claiming witnesses as integer
-keys in a dense array (claim_greedy, which greedy_packing shares).
-Every word is examined, so the output is maximal.
+live row of the stream and strikes, in one numpy pass (far_rows, which
+also builds search's key-heavy graphs), every later row closer than d to
+it, through metric._best_shares, the matching test of verify_code's
+incidence kernel (search._best_common); for pairs, greedy_pairs accepts
+the same words by claiming witnesses as integer keys in a dense array
+(claim_greedy, which greedy_packing shares).  Every word is examined, so
+the output is maximal.
 
 Universes beyond the in-memory shuffle cap are permuted by a Feistel
 network on the index space (images >= M are skipped, which still visits
@@ -40,15 +41,10 @@ _FEISTEL_BLOCK = 1 << 15
 
 
 def applicable(n: int, k: int, d: int) -> bool:
-    """True when the witness key spaces for (n, k, d) fit in dense arrays."""
-    try:
-        splits = witness_splits(k, d)
-    except ParameterError:
-        return False
-    t = 2 * k - d + 1
+    """True when the witness key spaces for (n, k, d), 1 <= d <= 2k, fit in dense arrays."""
     if 2 * word_count(n, k, 2) > STREAM_CAP:
         return False
-    return len(splits) * n**t <= SPACE_CAP
+    return len(witness_splits(k, d)) * n ** (2 * k - d + 1) <= SPACE_CAP
 
 
 def _feistel_round(left: np.ndarray, right: np.ndarray, key, hmask, mix: np.ndarray, spare: np.ndarray) -> None:
@@ -272,35 +268,50 @@ def greedy_pairs(n: int, k: int, d: int, seed: int, chunk: int = _CHUNK):
     return accepted
 
 
-def greedy_by_distance(rows: np.ndarray, s: int, limit: int) -> np.ndarray:
-    """Distance-rule greedy over a table of incidence rows in stream order; returns the kept rows.
+def far_rows(s: int, width: int, ids: int, limit: int):
+    """The distance rule's test: far(row, columns) marks the rows of `columns`
+    (one per column) at distance >= d from `row`.
 
-    A row is s parts of w distinct ids, as core._incidence_rows builds
-    them; two rows are closer than d iff their best part matching shares
-    more than `limit` = s*w - d ids.  The first live row is kept, as every
-    row too close to an earlier kept row is already struck, and strikes
-    each later live row whose union shares more than `limit` of its ids
-    (a bound on the matching, exact at s = 1) and whose s x s common
-    counts then do too under metric._best_shares.  Live rows are columns,
-    so every reduction runs along a leading axis.
+    A row is s parts of width / s distinct ids below `ids`, as
+    core._incidence_rows builds them; two rows are closer than d iff their
+    best part matching shares more than `limit` = width - d ids.  A column
+    is far when it holds at most `limit` of row's ids (a bound on the
+    matching, exact at s = 1) or its s x s common counts share at most
+    that under metric._best_shares.
     """
-    width = rows.shape[1]
     count = np.min_scalar_type(width)  # every count below is at most width
     parts = np.arange(1, s + 1, dtype=np.min_scalar_type(s))
     labels = np.repeat(parts, width // s)
-    part_of = np.zeros(int(rows.max(initial=0)) + 1, dtype=parts.dtype)  # 1 + the kept row's part holding an id, or 0
-    kept = []
-    live = rows.T.copy()
-    while live.shape[1]:
-        row, live = live[:, 0], live[:, 1:]
-        kept.append(row.tolist())
+    part_of = np.zeros(ids, dtype=parts.dtype)  # 1 + the row's part holding an id, or 0
+
+    def test(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
         part_of[row] = labels
-        held = part_of.take(live)
+        held = part_of.take(columns)
         part_of[row] = 0
         far = (held != 0).sum(axis=0, dtype=count) <= limit
         if s > 1:
             near = ~far
             common = np.compress(near, held, axis=1).reshape(s, width // s, 1, -1) == parts[:, None]
             far[near] = _best_shares(common.sum(axis=1, dtype=count), limit) <= limit
-        live = np.compress(far, live, axis=1)
+        return far
+
+    return test
+
+
+def greedy_by_distance(rows: np.ndarray, s: int, limit: int) -> np.ndarray:
+    """Distance-rule greedy over a table of incidence rows in stream order; returns the kept rows.
+
+    The first live row is kept, as every row too close to an earlier kept
+    row is already struck, and strikes each later live row that far_rows'
+    test finds closer than d.  Live rows are columns, so every reduction
+    runs along a leading axis.
+    """
+    width = rows.shape[1]
+    far = far_rows(s, width, int(rows.max(initial=0)) + 1, limit)
+    kept = []
+    live = rows.T.copy()
+    while live.shape[1]:
+        row, live = live[:, 0], live[:, 1:]
+        kept.append(row.tolist())
+        live = np.compress(far(row, live), live, axis=1)
     return np.array(kept, dtype=np.int32).reshape(-1, width)

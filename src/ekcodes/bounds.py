@@ -17,7 +17,6 @@ from .core import ParameterError
 KIND_UPPER = "upper-bound"
 KIND_EXACT = "exact"
 KIND_CONJECTURED = "conjectured-exact"
-KIND_ASYMPTOTIC = "asymptotic-constant"
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice, product
-from operator import attrgetter, mul
+from operator import attrgetter, index, mul
 from pathlib import Path
 from typing import Collection, Iterable, Iterator
 
@@ -70,7 +70,7 @@ class KSubset:
         n = self.n
         if n < 0:
             raise ParameterError(f"ground set size must be nonnegative, got n={n}")
-        elems = tuple(map(int, self.elements))
+        elems = tuple(map(index, self.elements))
         object.__setattr__(self, "elements", elems)
         # one pass: order and duplicates first, range after, as sorted input
         # can only leave [0, n) at its first or last element
@@ -95,7 +95,7 @@ class KSubset:
     @classmethod
     def of(cls, elements: Iterable[int], n: int) -> "KSubset":
         """Build from an unordered collection, sorting the elements."""
-        elems = tuple(sorted(map(int, elements)))
+        elems = tuple(sorted(map(index, elements)))
         # sorted, only the ends can leave [0, n); inside it, the bits sum
         # without a carry exactly when the elements are distinct
         if elems and elems[0] >= 0 and elems[-1] < n:
@@ -368,7 +368,8 @@ class QaryWord:
         try:  # int-like symbols all in [0, 256) become Python ints in C
             syms, low = tuple(bytes(syms)), 0
         except (TypeError, ValueError):
-            syms = tuple(map(int, syms))
+            # an integral float stands for its int, as in code files; any other non-integer raises TypeError
+            syms = tuple(int(x) if type(x) is float and x.is_integer() else index(x) for x in syms)
             low = min(syms, default=0)
         object.__setattr__(self, "symbols", syms)
         if len(syms) != self.n:
@@ -545,6 +546,14 @@ def _parse_float(text: str) -> int:
     return int(value)
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """A code or design file's header field; TypeError unless a JSON integer."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} {value!r} is not an integer")
+    return value
+
+
 def code_to_json(code: Code) -> str:
     """Serialize to the stable wire format (fixed key order, no whitespace)."""
     vmd = code.verified_min_distance
@@ -566,7 +575,7 @@ def code_from_json(text: str) -> Code:
     """Parse the wire format back into a Code, re-canonicalizing every word."""
     try:
         obj = json.loads(text, parse_float=_parse_float)
-        n, k, s, q, d = (int(obj[key]) for key in ("n", "k", "s", "q", "d"))
+        n, k, s, q, d = (_json_int(obj, key) for key in ("n", "k", "s", "q", "d"))
         raw_words = obj["words"]
         vmd = obj.get("verified_min_distance")
         if not (vmd is None or type(vmd) is int):

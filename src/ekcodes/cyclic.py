@@ -16,6 +16,7 @@ checkpoint node the tree never reaches is refused before any search.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 from bisect import bisect_left
@@ -47,8 +48,8 @@ class CyclicGeneratorPair:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ParameterError(f"modulus must be >= 1, got m={self.m}")
-        s = tuple(sorted({int(x) % self.m for x in self.s_set}))
-        t = tuple(sorted({int(x) % self.m for x in self.t_set}))
+        s = tuple(sorted({operator.index(x) % self.m for x in self.s_set}))
+        t = tuple(sorted({operator.index(x) % self.m for x in self.t_set}))
         if len(s) != len(self.s_set) or len(t) != len(self.t_set):
             raise ParameterError("residues collide after reduction mod m")
         if len(s) != len(t):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from ._greedy_fast import _CHUNK, _lex_columns, _permuted_chunks, _rows, claim_greedy
-from .core import Code, ParameterError, _parse_float
+from .core import Code, ParameterError, _json_int, _parse_float
 from .cyclic import _distance_bits, _extensions, _replay
 
 _VERIFY_T_SUBSET_CAP = 5_000_000
@@ -32,27 +33,24 @@ _GREEDY_BLOCK_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class BlockDesign:
-    """Blocks over the point set [0, v) with a claimed strength-t kind."""
+    """Blocks over the point set [0, v) for strength t."""
 
     v: int
     t: int
     blocks: tuple[tuple[int, ...], ...]
-    kind_claim: str | None = None
 
     def __post_init__(self) -> None:
         if self.v < 0 or self.t < 1:
             raise ParameterError(f"need v >= 0 and t >= 1, got v={self.v}, t={self.t}")
         blocks = []
         for block in self.blocks:
-            b = tuple(sorted(int(x) for x in block))
+            b = tuple(sorted(map(operator.index, block)))
             if len(set(b)) != len(b):
                 raise ParameterError(f"block {block} repeats a point")
             if b and (b[0] < 0 or b[-1] >= self.v):
                 raise ParameterError(f"block {block} leaves the point set [0, {self.v})")
             blocks.append(b)
         object.__setattr__(self, "blocks", tuple(sorted(blocks)))
-        if self.kind_claim not in (None, "packing", "design"):
-            raise ParameterError(f"unknown kind claim {self.kind_claim!r}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +150,7 @@ def affine_plane(p: int) -> BlockDesign:
     for a in range(p):
         for b in range(p):
             blocks.append(tuple(sorted(x * p + (a * x + b) % p for x in range(p))))
-    return BlockDesign(v=p * p, t=2, blocks=tuple(blocks), kind_claim="design")
+    return BlockDesign(v=p * p, t=2, blocks=tuple(blocks))
 
 
 def zero_sum_quadruples(r: int) -> BlockDesign:
@@ -167,7 +165,7 @@ def zero_sum_quadruples(r: int) -> BlockDesign:
                 d = a ^ b ^ c
                 if d > c:
                     blocks.append((a, b, c, d))
-    return BlockDesign(v=v, t=3, blocks=tuple(blocks), kind_claim="design")
+    return BlockDesign(v=v, t=3, blocks=tuple(blocks))
 
 
 def planar_difference_set(q: int) -> tuple[int, ...] | None:
@@ -194,11 +192,11 @@ def planar_difference_set(q: int) -> tuple[int, ...] | None:
 
 def develop_difference_set(base: tuple[int, ...] | list[int], m: int) -> BlockDesign:
     """All m translates of a residue set mod m, as strength-2 blocks."""
-    pts = [int(x) % m for x in base]
+    pts = [operator.index(x) % m for x in base]
     if len(set(pts)) != len(pts):
         raise ParameterError(f"base set {base} collides mod {m}")
     blocks = tuple(tuple(sorted((x + u) % m for x in pts)) for u in range(m))
-    return BlockDesign(v=m, t=2, blocks=blocks, kind_claim="packing")
+    return BlockDesign(v=m, t=2, blocks=blocks)
 
 
 def greedy_packing(v: int, p: int, t: int, seed: int) -> BlockDesign:
@@ -220,7 +218,7 @@ def greedy_packing(v: int, p: int, t: int, seed: int) -> BlockDesign:
         rows = np.stack(cols, axis=-1)
         hits = claim_greedy([_colex_ranks(rows[:, combo], v) for combo in combos], claimed)
         blocks.extend(_rows(cols, hits))
-    return BlockDesign(v=v, t=t, blocks=tuple(blocks), kind_claim="packing")
+    return BlockDesign(v=v, t=t, blocks=tuple(blocks))
 
 
 def compose_code(
@@ -293,12 +291,11 @@ def design_to_json(design: BlockDesign) -> str:
 def design_from_json(text: str) -> BlockDesign:
     try:
         obj = json.loads(text, parse_float=_parse_float)
-        v = int(obj["v"])
-        t = int(obj["t"])
-        blocks = tuple(tuple(int(x) for x in b) for b in obj["blocks"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        return BlockDesign(v=_json_int(obj, "v"), t=_json_int(obj, "t"), blocks=tuple(map(tuple, obj["blocks"])))
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed design file: {exc}") from exc
-    return BlockDesign(v=v, t=t, blocks=blocks)
 
 
 def save_design(design: BlockDesign, path: str | Path) -> None:

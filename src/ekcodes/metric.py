@@ -5,9 +5,9 @@ matchings of their parts, of the number of elements that must move.  For
 pairs this is min(|A1-B1|+|A2-B2|, |A1-B2|+|A2-B1|); for s-tuples the
 minimum runs over all part matchings (an assignment problem).
 `tuple_distance` takes the best of the s! matchings up to s = 4 and solves
-it by the Hungarian method (`_min_cost_matching`) above, and always for
-method="assignment"; the batch kernel `_best_matchings` sums all s!
-matchings up to s = 6 and calls the same method above.
+it by the Hungarian method (`_min_cost_matching`) above; the batch kernel
+`_best_matchings` sums all s! matchings up to s = 6 and calls the same
+method above.
 
 A witness of a pair-word {A, B} at design distance d is an unordered pair
 {U, V} of disjoint sets with |U|+|V| = 2k-d+1 embedded in the word's two
@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import ParameterError, QaryPairWord, QaryWord, STuple
 
-_PERMUTATION_LIMIT = 8
 _TUPLE_ENUMERATION_LIMIT = 4  # tuple_distance takes the best of all s! matchings up to this s
 _ENUMERATION_LIMIT = 6  # _best_matchings sums all s! matchings up to this s
 _MATCHING_TILE_CELLS = 1 << 20  # cells one enumeration tile may gather
@@ -56,32 +55,22 @@ def pair_distance(p: STuple, q: STuple) -> int:
     return 2 * k - max(straight, crossed)
 
 
-def tuple_distance(x: STuple, y: STuple, method: str = "auto") -> int:
+def tuple_distance(x: STuple, y: STuple) -> int:
     """Transportation distance between two s-part words.
 
     The cost of moving part i of x onto part j of y is k minus their common
-    elements; the distance is the cheapest perfect matching of parts.
-    "auto" takes the best of the s! matchings up to s = 4 (summed at once,
-    one byte per matching, while s*k < 256) and, above, uses the Hungarian
-    method with shortest augmenting paths (`_min_cost_matching`, O(s^3));
-    "assignment" always uses the Hungarian method.  method="permutation"
-    minimizes over all s! matchings of the cost matrix (the readable
-    oracle, s <= 8).  All methods are exact and agree.
+    elements; the distance is the cheapest perfect matching of parts.  Up
+    to s = 4 it takes the best of the s! matchings, summed at once, one
+    byte per matching, while s*k < 256; above, the Hungarian method with
+    shortest augmenting paths (`_min_cost_matching`, O(s^3)).
     """
     k, s = _check_same_world(x, y)
     y_masks = [yp.mask for yp in y.parts]
     common = [(xp.mask & mask).bit_count() for xp in x.parts for mask in y_masks]
-    if method == "auto" and s <= _TUPLE_ENUMERATION_LIMIT and s * k < 256:
+    if s <= _TUPLE_ENUMERATION_LIMIT and s * k < 256:
         lanes, count = _matching_lanes(s)
         return s * k - max(sum(map(mul, common, lanes)).to_bytes(count, "little"))
-    cost = [[k - c for c in common[i : i + s]] for i in range(0, s * s, s)]
-    if method == "permutation":
-        if s > _PERMUTATION_LIMIT:
-            raise ParameterError(f"permutation method limited to s <= {_PERMUTATION_LIMIT}")
-        return min(sum(cost[i][perm[i]] for i in range(s)) for perm in permutations(range(s)))
-    if method not in ("auto", "assignment"):
-        raise ParameterError(f"unknown method {method!r}")
-    return _min_cost_matching(cost)
+    return _min_cost_matching([[k - c for c in common[i : i + s]] for i in range(0, s * s, s)])
 
 
 def _min_cost_matching(cost: list[list[int]]) -> int:

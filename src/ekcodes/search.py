@@ -17,11 +17,11 @@ word universe, as incidence rows of the same kind, through one distance
 rule (`_greedy_fast`), in which each kept word strikes its conflicts
 through the incidence kernel's matching test.  exact_max_code is a
 branch-and-bound clique search over the compatibility graph, which it
-builds from the witness keys of the universe rows; exhaustive_max_code,
-a plain enumeration over a graph built by comparing every pair of words,
-is kept alongside as an independent oracle.  Every function here reads
-and builds codes as rows (`Code.rows`, `Code._from_rows`); none builds a
-word.
+builds from the universe rows' witness keys or, with too many keys per
+word, by that same test; exhaustive_max_code, a plain enumeration over
+the pair_distance graph of `enumerate_words`, is kept alongside as an
+independent oracle.  Every other function here reads and builds codes
+as rows (`Code.rows`, `Code._from_rows`); none builds a word.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 
 from . import _greedy_fast
 from .bounds import asymptotic_constant, upper_bound
-from .core import Code, ParameterError, _universe_rows, qary_word_count, word_count
-from .metric import _best_shares
+from .core import Code, ParameterError, _universe_rows, enumerate_words, qary_word_count, word_count
+from .metric import _best_shares, pair_distance
 
 _PAIR_TILE = 1 << 13
 _WITNESS_KEY_CAP = 1 << 24  # keys in one witness-key table: 128 MB of int64
@@ -218,14 +218,14 @@ def greedy_code(
     distance rule holds the stream as one int32 table, in which each kept
     word strikes every later word closer than d to it.  Pairs can
     also be accepted by the witness rule (a word is kept iff none of its
-    witnesses is already claimed), which keeps the same words: mode forces
-    "witness" or "distance", and "auto" uses the witness rule where its
-    dense key arrays fit and the distance rule elsewhere.  The witness rule
-    exists only for set-world pairs, so mode="witness" raises for any other
-    kind.  The distance rule refuses universes above
-    `_DISTANCE_UNIVERSE_CAP` words.  s defaults to 2 in the set world and
-    to 1 (single words) for q-ary alphabets.  Degenerate parameters give
-    an empty code.
+    witnesses is already claimed), which keeps the same words.
+    mode="distance" forces the distance rule; "auto" and "witness" take
+    the witness rule where its dense key arrays fit and the distance rule
+    elsewhere.  The witness rule exists only for set-world pairs, so
+    mode="witness" raises for any other kind.  The distance rule refuses
+    universes above `_DISTANCE_UNIVERSE_CAP` words.  s defaults to 2 in the
+    set world and to 1 (single words) for q-ary alphabets.  Degenerate
+    parameters give an empty code.
     """
     if mode not in ("auto", "witness", "distance"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -268,19 +268,21 @@ class SearchReport:
 
 
 def _compatibility_masks(rows: np.ndarray, n: int, k: int, d: int) -> list[int]:
-    """Adjacency bitsets of the distance->=d compatibility graph of pair rows, from shared witnesses.
+    """Adjacency bitsets of the distance->=d compatibility graph of pair rows.
 
     Two words are at distance <= d - 1 iff they share a witness, so the
     witness keys of all words are sorted and each group of equal keys is
     ORed into its members' conflict masks; a word is adjacent to every word
-    outside its own conflict mask.
+    outside its own conflict mask.  With more keys per word than half the
+    words, or keys that do not fit, each row is tested against every row
+    by the distance greedy's `_greedy_fast.far_rows`: (14,7,7) has 3003
+    keys per word and the keys peak near 400 MB, the row tests at 0.3 MB.
     """
-    # With more witnesses per word than half the words, the key arrays
-    # outgrow the pairwise comparison: (14,7,7) has 3003 keys per word and
-    # peaks near 400 MB, against 30 MB pairwise.
     keys = None if 2 * math.comb(2 * k, 2 * k - d + 1) > len(rows) else _witness_keys(rows, n, k, d)
     if keys is None:
-        return _pairwise_compatibility_masks(rows, k, d)
+        far = _greedy_fast.far_rows(2, 2 * k, int(rows.max(initial=0)) + 1, 2 * k - d)
+        columns = rows.T.copy()
+        return [int.from_bytes(np.packbits(far(row, columns), bitorder="little").tobytes(), "little") for row in rows]
     per_word = keys.shape[1]
     keys = keys.ravel()
     order = np.argsort(keys)
@@ -297,23 +299,6 @@ def _compatibility_masks(rows: np.ndarray, n: int, k: int, d: int) -> list[int]:
             conflict[i] |= mask
     full = (1 << len(rows)) - 1
     return [full & ~mask for mask in conflict]
-
-
-def _pairwise_compatibility_masks(rows: np.ndarray, k: int, d: int) -> list[int]:
-    """Adjacency bitsets of the distance->=d graph of pair rows, one bitmask comparison per pair."""
-    limit = 2 * k - d
-    masks = [(sum(1 << e for e in row[:k]), sum(1 << e for e in row[k:])) for row in rows.tolist()]
-    adjacency = [0] * len(masks)
-    for i in range(len(masks)):
-        a1, a2 = masks[i]
-        for j in range(i + 1, len(masks)):
-            b1, b2 = masks[j]
-            straight = (a1 & b1).bit_count() + (a2 & b2).bit_count()
-            crossed = (a1 & b2).bit_count() + (a2 & b1).bit_count()
-            if max(straight, crossed) <= limit:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-    return adjacency
 
 
 def _first_fit_clique(adjacency: list[int]) -> int:
@@ -409,11 +394,17 @@ def exact_max_code(
 
 
 def exhaustive_max_code(n: int, k: int, d: int, word_ceiling: int = 2_000) -> int:
-    """Independent oracle: enumerate every clique, no pruning at all."""
+    """Independent oracle: every clique of the pair_distance graph of all words, no pruning at all."""
     total = word_count(n, k, 2)
     if total > word_ceiling:
         raise ParameterError(f"universe has {total} words, above the ceiling {word_ceiling}")
-    adjacency = _pairwise_compatibility_masks(_universe_rows(n, k, 2, 0), k, d)
+    words = list(enumerate_words(n, k, 2))
+    adjacency = [0] * len(words)
+    for i, p in enumerate(words):
+        for j in range(i + 1, len(words)):
+            if pair_distance(p, words[j]) >= d:
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
     best = 0
 
     def extend(candidates: int, size: int) -> None:

@@ -118,6 +118,8 @@ _PAIR_FILE = {"n": 6, "k": 2, "s": 2, "q": 0, "d": 3, "words": [[[0, 1], [2, 3]]
         {"n": 6.9},
         {"words": [[[0, 1.7], [2, 3]]]},
         {"q": 3, "s": 1, "words": [[[1, 1.5, 0, 0, 0, 0]]]},
+        {"n": "6"},
+        {"k": True},
     ],
     ids=[
         "words-number",
@@ -129,6 +131,8 @@ _PAIR_FILE = {"n": 6, "k": 2, "s": 2, "q": 0, "d": 3, "words": [[[0, 1], [2, 3]]
         "n-fraction",
         "element-fraction",
         "qary-symbol-fraction",
+        "n-string",
+        "k-bool",
     ],
 )
 def test_malformed_code_file_is_refused(tmp_path, capsys, change):
@@ -150,7 +154,11 @@ def test_integral_floats_in_a_code_file_load_as_ints():
 _DESIGN_FILE = {"v": 6, "t": 2, "blocks": [[0, 1, 3]]}
 
 
-@pytest.mark.parametrize("change", [{"v": 6.9}, {"blocks": [[0, 1.7, 3]]}], ids=["v-fraction", "point-fraction"])
+@pytest.mark.parametrize(
+    "change",
+    [{"v": 6.9}, {"blocks": [[0, 1.7, 3]]}, {"v": "6"}, {"t": True}, {"blocks": [[0, "1", 3]]}],
+    ids=["v-fraction", "point-fraction", "v-string", "t-bool", "point-string"],
+)
 def test_malformed_design_file_is_refused(tmp_path, capsys, change):
     text = json.dumps({**_DESIGN_FILE, **change})
     with pytest.raises(ekcodes.ParameterError, match="^malformed design file: "):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ekcodes
 from ekcodes import core
 from ekcodes import (
     Code,
@@ -388,6 +389,23 @@ def test_constructors_reject_malformed_input(build, error, fragment):
         build()
     assert type(caught.value) is error
     assert fragment in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: canonicalize([[0, 1.7], [2, 3]], 6),
+        lambda: KSubset(6, (0, 1.9)),
+        lambda: QaryWord(4, 3, (0, 1.5, 2, 0)),
+        lambda: ekcodes.CyclicGeneratorPair(9, (1.5, 8), (2, 3)),
+        lambda: ekcodes.BlockDesign(6, 2, ((0, 1.7, 3),)),
+        lambda: ekcodes.develop_difference_set((0, 1.5, 3), 7),
+    ],
+    ids=["canonicalize", "KSubset", "QaryWord", "CyclicGeneratorPair", "BlockDesign", "develop_difference_set"],
+)
+def test_constructors_refuse_fractional_integers(build):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        build()
 
 
 @pytest.mark.parametrize(

@@ -211,7 +211,7 @@ def test_compose_refuses_unverified_base():
 
 
 def test_compose_refuses_weak_base():
-    design = BlockDesign(8, 2, ((0, 1, 2, 3), (4, 5, 6, 7)), kind_claim="packing")
+    design = BlockDesign(8, 2, ((0, 1, 2, 3), (4, 5, 6, 7)))
     base = full_universe_code(4, 2, 2)  # verified distance 2 < required 3
     with pytest.raises(ParameterError, match="< 3"):
         compose_code(design, base, k=2, d=3)
@@ -245,3 +245,18 @@ def test_design_json_round_trip():
     back = design_from_json(text)
     assert back.v == design.v and back.t == design.t and back.blocks == design.blocks
     assert design_to_json(back) == text
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: affine_plane(5),
+        lambda: zero_sum_quadruples(3),
+        lambda: develop_difference_set((0, 1, 3), 7),
+        lambda: greedy_packing(9, 3, 2, seed=4),
+    ],
+    ids=["affine_plane", "zero_sum_quadruples", "develop_difference_set", "greedy_packing"],
+)
+def test_design_json_round_trip_is_equal(build):
+    design = build()
+    assert design_from_json(design_to_json(design)) == design

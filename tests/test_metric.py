@@ -32,6 +32,17 @@ def oracle_pair_distance(p, q):
     return min(len(a1 - b1) + len(a2 - b2), len(a1 - b2) + len(a2 - b1))
 
 
+def part_costs(x, y):
+    """The s x s matrix of k - |x_i & y_j|, the cost of moving part i of x onto part j of y."""
+    return [[x.k - len(set(a.elements) & set(b.elements)) for b in y.parts] for a in x.parts]
+
+
+def oracle_tuple_distance(x, y):
+    """Definitional oracle: the cheapest of the s! part matchings."""
+    cost = part_costs(x, y)
+    return min(sum(cost[i][j] for i, j in enumerate(perm)) for perm in permutations(range(x.s)))
+
+
 def random_word(rng, n, k, s=2):
     elems = rng.sample(range(n), s * k)
     return canonicalize([elems[i * k : (i + 1) * k] for i in range(s)], n)
@@ -96,15 +107,15 @@ def test_tuple_distance_permutation_vs_assignment():
         k = rng.randint(1, 3)
         n = rng.randint(s * k, s * k + 6)
         x, y = random_word(rng, n, k, s), random_word(rng, n, k, s)
-        oracle = tuple_distance(x, y, "permutation")
-        assert tuple_distance(x, y) == tuple_distance(x, y, "assignment") == oracle
+        oracle = oracle_tuple_distance(x, y)
+        assert tuple_distance(x, y) == metric._min_cost_matching(part_costs(x, y)) == oracle
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_tuple_distance_enumeration_vs_hungarian(data):
-    """"auto" takes the best of the s! matchings up to s = 4 and runs the
-    Hungarian method above; "assignment" always runs it; all three agree."""
+    """tuple_distance takes the best of the s! matchings up to s = 4 and runs
+    the Hungarian method above; both agree with the s! oracle."""
     s = data.draw(st.integers(1, 5), label="s")
     k = data.draw(st.integers(1, 4), label="k")
     n = data.draw(st.integers(s * k, s * k + 6), label="n")
@@ -115,16 +126,14 @@ def test_tuple_distance_enumeration_vs_hungarian(data):
 
     x, y = word(), word()
     with mock.patch.object(metric, "_min_cost_matching", wraps=metric._min_cost_matching) as hungarian:
-        auto = tuple_distance(x, y)
+        distance = tuple_distance(x, y)
         assert hungarian.call_count == (s > 4)
-        assignment = tuple_distance(x, y, "assignment")
-        assert hungarian.call_count == (s > 4) + 1
-    assert auto == assignment == tuple_distance(x, y, "permutation")
+    assert distance == metric._min_cost_matching(part_costs(x, y)) == oracle_tuple_distance(x, y)
 
 
 @pytest.mark.parametrize("s, k", [(1, 255), (1, 256), (2, 127), (2, 128), (4, 63), (4, 64)])
 def test_tuple_distance_byte_lanes_hold_every_total(s, k):
-    """"auto" sums the matchings in one byte each while s*k < 256 and hands
+    """tuple_distance sums the matchings in one byte each while s*k < 256 and hands
     larger words to the Hungarian method.  y moves one element of x, and x
     against itself gives the largest total, s*k (255 at s=1, k=255)."""
     rng = random.Random(s * 1000 + k)
@@ -136,7 +145,7 @@ def test_tuple_distance_byte_lanes_hold_every_total(s, k):
     with mock.patch.object(metric, "_min_cost_matching", wraps=metric._min_cost_matching) as hungarian:
         assert tuple_distance(x, y) == 1 and tuple_distance(x, x) == 0
         assert hungarian.call_count == 2 * (s * k >= 256)
-    assert tuple_distance(x, y, "assignment") == tuple_distance(x, y, "permutation") == 1
+    assert metric._min_cost_matching(part_costs(x, y)) == oracle_tuple_distance(x, y) == 1
 
 
 @pytest.mark.parametrize(
@@ -151,7 +160,7 @@ def test_tuple_distance_byte_lanes_hold_every_total(s, k):
 def test_distances_reject_each_single_mismatch(other, n):
     x = canonicalize([(0, 1), (2, 3)], 8)
     y = canonicalize(other, n)
-    for distance in (pair_distance, tuple_distance, lambda a, b: tuple_distance(a, b, "permutation")):
+    for distance in (pair_distance, tuple_distance):
         for a, b in ((x, y), (y, x)):
             with pytest.raises(ParameterError, match="mismatched parameters"):
                 distance(a, b)

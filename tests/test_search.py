@@ -298,12 +298,10 @@ def test_witness_walk_falls_back_to_best_common(monkeypatch):
         claimed = Code(n, 4, 2, 0, d, frozenset([near, other, far]))
         assert verify_code(claimed) == claimed.verified_min_distance == 8 - shared, (shared, d)
         assert fallbacks == expected, (shared, d)
-    # the exact search's graph takes the pairwise comparison when its keys do not fit
+    # the exact search's graph takes the row tests when its keys do not fit
     monkeypatch.setattr(search, "_WITNESS_KEY_CAP", 0)
     rows = core._universe_rows(8, 2, 2, 0)
-    universe = list(enumerate_words(8, 2, 2))
-    pairwise = search._pairwise_compatibility_masks(core._incidence_rows(universe, 8, 2, 2, 0), 2, 3)
-    assert search._compatibility_masks(rows, 8, 2, 3) == pairwise
+    assert search._compatibility_masks(rows, 8, 2, 3) == _pair_distance_graphs(8, 2)[3]
 
 
 def test_verify_stuple_code():
@@ -721,18 +719,45 @@ def test_ratio_experiment_table():
     assert rows == again
 
 
+def _pair_distance_graphs(n, k):
+    """Per d in 1..2k, the distance->=d graph of the pair universe as adjacency bitsets,
+    from pair_distance on every pair of enumerate_words."""
+    words = list(enumerate_words(n, k, 2))
+    graphs = {d: [0] * len(words) for d in range(1, 2 * k + 1)}
+    for i, p in enumerate(words):
+        for j in range(i + 1, len(words)):
+            for d in range(1, pair_distance(p, words[j]) + 1):
+                graphs[d][i] |= 1 << j
+                graphs[d][j] |= 1 << i
+    return graphs
+
+
 @pytest.mark.parametrize(
     "k,n_values",
-    [(1, [*range(2, 13), 66]), (2, range(4, 12)), (3, range(6, 10))],
+    [(1, [*range(2, 13), 66]), (2, range(4, 12)), (3, range(6, 10)), (5, [10]), (6, [12])],
 )
-def test_witness_graph_matches_pairwise_graph(k, n_values):
+def test_witness_graph_matches_pairwise_graph(monkeypatch, k, n_values):
+    """Both routes of the exact search's graph, the witness keys where they are few
+    enough and the row tests (forced by a zero key cap), equal the word-level graph."""
     for n in n_values:
         rows = core._universe_rows(n, k, 2, 0)
-        word_rows = core._incidence_rows(list(enumerate_words(n, k, 2)), n, k, 2, 0)
-        for d in range(1, 2 * k + 1):
-            assert search._compatibility_masks(rows, n, k, d) == (
-                search._pairwise_compatibility_masks(word_rows, k, d)
-            ), (n, k, d)
+        graphs = _pair_distance_graphs(n, k)
+        for cap in (search._WITNESS_KEY_CAP, 0):
+            monkeypatch.setattr(search, "_WITNESS_KEY_CAP", cap)
+            for d in range(1, 2 * k + 1):
+                assert search._compatibility_masks(rows, n, k, d) == graphs[d], (n, k, d, cap)
+
+
+@pytest.mark.parametrize("n,k,d", [(6, 2, 3), (7, 2, 3), (8, 2, 3), (6, 2, 4), (4, 2, 2)])
+def test_exact_on_the_row_tests_matches_exhaustive(monkeypatch, n, k, d):
+    """C07's universes with the graph forced onto the row tests: the search
+    against the word-level oracle, which shares no graph code with it."""
+    monkeypatch.setattr(search, "_WITNESS_KEY_CAP", 0)
+    calls, far_rows = [], _greedy_fast.far_rows
+    monkeypatch.setattr(_greedy_fast, "far_rows", lambda *args: calls.append(args) or far_rows(*args))
+    report = exact_max_code(n, k, d)
+    assert report.optimal and len(calls) == 1
+    assert len(report.best_code) == exhaustive_max_code(n, k, d)
 
 
 @pytest.mark.parametrize("d", [0, 5])
