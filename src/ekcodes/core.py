@@ -67,9 +67,10 @@ class KSubset:
     mask: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
-        n = self.n
+        n = index(self.n)
         if n < 0:
             raise ParameterError(f"ground set size must be nonnegative, got n={n}")
+        object.__setattr__(self, "n", n)
         elems = tuple(map(index, self.elements))
         object.__setattr__(self, "elements", elems)
         # one pass: order and duplicates first, range after, as sorted input
@@ -95,14 +96,7 @@ class KSubset:
     @classmethod
     def of(cls, elements: Iterable[int], n: int) -> "KSubset":
         """Build from an unordered collection, sorting the elements."""
-        elems = tuple(sorted(map(index, elements)))
-        # sorted, only the ends can leave [0, n); inside it, the bits sum
-        # without a carry exactly when the elements are distinct
-        if elems and elems[0] >= 0 and elems[-1] < n:
-            mask = sum(map(_bit, elems))
-            if mask.bit_count() == len(elems):
-                return _new_part(n, elems, mask)
-        return cls(n, elems)  # raises __post_init__'s error, or builds the empty part
+        return _part_of(elements, index(n))
 
     def isdisjoint(self, other: "KSubset") -> bool:
         return not (self.mask & other.mask)
@@ -120,6 +114,18 @@ class KSubset:
 _elements = attrgetter("elements")
 _bit = (1).__lshift__
 _setattr = object.__setattr__
+
+
+def _part_of(elements: Iterable[int], n: int) -> KSubset:
+    """KSubset.of for an n already read as an int."""
+    elems = tuple(sorted(map(index, elements)))
+    # sorted, only the ends can leave [0, n); inside it, the bits sum
+    # without a carry exactly when the elements are distinct
+    if elems and elems[0] >= 0 and elems[-1] < n:
+        mask = sum(map(_bit, elems))
+        if mask.bit_count() == len(elems):
+            return _new_part(n, elems, mask)
+    return KSubset(n, elems)  # raises __post_init__'s error, or builds the empty part
 
 
 def _new_part(n: int, elements: tuple[int, ...], mask: int) -> KSubset:
@@ -229,7 +235,8 @@ def canonicalize(raw: Iterable[Iterable[int]], n: int, k: int | None = None) -> 
     Overlaps, out-of-range elements, and wrong part sizes raise
     OverlapError, ElementRangeError, and PartSizeError respectively.
     """
-    parts = [KSubset.of(p, n) for p in raw]
+    n = index(n)  # once per word, not once per part
+    parts = [_part_of(p, n) for p in raw]
     if k is not None:
         for p in parts:
             if len(p.elements) != k:
@@ -361,7 +368,11 @@ class QaryWord:
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        q = self.q
+        n, q = self.n, self.q
+        if type(n) is not int or type(q) is not int:  # converting plain ints too adds ~20% to a build
+            n, q = index(n), index(q)
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "q", q)
         if q < 2:
             raise ParameterError(f"alphabet needs q >= 2, got q={q}")
         syms = tuple(self.symbols)
@@ -372,8 +383,8 @@ class QaryWord:
             syms = tuple(int(x) if type(x) is float and x.is_integer() else index(x) for x in syms)
             low = min(syms, default=0)
         object.__setattr__(self, "symbols", syms)
-        if len(syms) != self.n:
-            raise ParameterError(f"expected {self.n} symbols, got {len(syms)}")
+        if len(syms) != n:
+            raise ParameterError(f"expected {n} symbols, got {len(syms)}")
         if low < 0 or max(syms, default=0) >= q:
             bad = next(x for x in syms if not 0 <= x < q)  # the first, to name it
             raise ElementRangeError(f"symbol {bad} outside alphabet [0, {q})")
@@ -434,14 +445,16 @@ def enumerate_qary_words(n: int, k: int, q: int) -> Iterator[QaryWord]:
 Word = STuple | QaryWord | QaryPairWord
 
 
-def _check_parameters(k: int, s: int, q: int, d: int) -> None:
-    """A code's parameter checks, shared by both constructors."""
+def _check_parameters(n: int, k: int, s: int, q: int, d: int) -> tuple[int, int, int, int, int]:
+    """A code's parameter checks, shared by both constructors: (n, k, s, q, d) read as ints."""
+    n, k, s, q, d = map(index, (n, k, s, q, d))
     if k < 1 or s < 1 or d < 1:
         raise ParameterError(f"need k, s, d >= 1, got k={k}, s={s}, d={d}")
     if q == 1 or q < 0:
         raise ParameterError(f"q must be 0 (set world) or >= 2, got q={q}")
     if q and s > 2:
         raise ParameterError(f"q-ary codes support s in {{1, 2}}, got s={s}")
+    return n, k, s, q, d
 
 
 # q == 0 marks set-world codes; q >= 2 marks q-ary codes (s=1 single words,
@@ -470,7 +483,7 @@ class Code:
         words: Collection,
         verified_min_distance: int | float | None = None,
     ) -> None:
-        _check_parameters(k, s, q, d)
+        n, k, s, q, d = _check_parameters(n, k, s, q, d)
         if not isinstance(words, frozenset):
             words = tuple(words)  # an iterator is read once, before the checks
         if q == 0:
@@ -501,7 +514,7 @@ class Code:
 
         Callers that must not lose a repeat compare len(code) with their row count.
         """
-        _check_parameters(k, s, q, d)
+        n, k, s, q, d = _check_parameters(n, k, s, q, d)
         code = object.__new__(cls)
         code.n, code.k, code.s, code.q, code.d = n, k, s, q, d
         code.verified_min_distance = None

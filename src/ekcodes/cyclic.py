@@ -46,10 +46,11 @@ class CyclicGeneratorPair:
     t_set: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ParameterError(f"modulus must be >= 1, got m={self.m}")
-        s = tuple(sorted({operator.index(x) % self.m for x in self.s_set}))
-        t = tuple(sorted({operator.index(x) % self.m for x in self.t_set}))
+        m = operator.index(self.m)
+        if m < 1:
+            raise ParameterError(f"modulus must be >= 1, got m={m}")
+        s = tuple(sorted({operator.index(x) % m for x in self.s_set}))
+        t = tuple(sorted({operator.index(x) % m for x in self.t_set}))
         if len(s) != len(self.s_set) or len(t) != len(self.t_set):
             raise ParameterError("residues collide after reduction mod m")
         if len(s) != len(t):
@@ -58,6 +59,7 @@ class CyclicGeneratorPair:
             raise ParameterError("S and T must be nonempty")
         if set(s) & set(t):
             raise ParameterError(f"S and T must be disjoint, share {sorted(set(s) & set(t))}")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "s_set", s)
         object.__setattr__(self, "t_set", t)
 
@@ -267,7 +269,7 @@ def search_antagonistic(
     traversed depth first with element candidates in increasing order, so
     runs are deterministic and take no seed.  The exhaustion flag is set
     only when the whole symmetry-reduced tree was traversed (no limit or
-    budget stop).
+    budget stop).  A negative budget raises ParameterError.
 
     When `checkpoint` names an existing nonempty file, the search resumes
     from the partial assignments listed there: a {"k", "m"} header line,
@@ -281,6 +283,10 @@ def search_antagonistic(
         raise ParameterError(f"need k >= 1, got k={k}")
     if 2 * k > m:
         raise ParameterError(f"infeasible: 2k = {2 * k} exceeds m = {m}")
+    if node_budget is not None and node_budget < 0:
+        raise ParameterError(f"node budget must be nonnegative, got {node_budget}")
+    if wall_budget_s is not None and wall_budget_s < 0:
+        raise ParameterError(f"wall budget must be nonnegative, got {wall_budget_s}")
 
     bits = _distance_bits(m)
     stack: list[_Node]

@@ -40,15 +40,18 @@ class BlockDesign:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.v < 0 or self.t < 1:
-            raise ParameterError(f"need v >= 0 and t >= 1, got v={self.v}, t={self.t}")
+        v, t = operator.index(self.v), operator.index(self.t)
+        if v < 0 or t < 1:
+            raise ParameterError(f"need v >= 0 and t >= 1, got v={v}, t={t}")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "t", t)
         blocks = []
         for block in self.blocks:
             b = tuple(sorted(map(operator.index, block)))
             if len(set(b)) != len(b):
                 raise ParameterError(f"block {block} repeats a point")
-            if b and (b[0] < 0 or b[-1] >= self.v):
-                raise ParameterError(f"block {block} leaves the point set [0, {self.v})")
+            if b and (b[0] < 0 or b[-1] >= v):
+                raise ParameterError(f"block {block} leaves the point set [0, {v})")
             blocks.append(b)
         object.__setattr__(self, "blocks", tuple(sorted(blocks)))
 

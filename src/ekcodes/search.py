@@ -18,10 +18,13 @@ rule (`_greedy_fast`), in which each kept word strikes its conflicts
 through the incidence kernel's matching test.  exact_max_code is a
 branch-and-bound clique search over the compatibility graph, which it
 builds from the universe rows' witness keys or, with too many keys per
-word, by that same test; exhaustive_max_code, a plain enumeration over
-the pair_distance graph of `enumerate_words`, is kept alongside as an
-independent oracle.  Every other function here reads and builds codes
-as rows (`Code.rows`, `Code._from_rows`); none builds a word.
+word, by that same test; each node's greedy colouring strips, unrecorded,
+the classes its branch loop can never reach, one AND per coloured word,
+and the tree is that of the full colouring.  exhaustive_max_code, a
+plain enumeration over the pair_distance graph of `enumerate_words`, is
+kept alongside as an independent oracle.  Every other function here
+reads and builds codes as rows (`Code.rows`, `Code._from_rows`); none
+builds a word.
 """
 
 from __future__ import annotations
@@ -324,17 +327,32 @@ def exact_max_code(
 ) -> SearchReport:
     """Branch-and-bound maximum code over the canonical word order.
 
-    Candidates are pruned by greedy-coloring bounds per node and by the
-    global split-form upper bound on C(n, k, d) (any subset of words is a
-    code, so the parameter bound caps every branch).  Exceeding a budget
-    returns the incumbent with optimal=False.
+    Each node colours its candidates greedily, lowest word first, into
+    classes of pairwise conflicting words, and branches on them from the
+    last coloured down while size + colour beats the best code so far.
+    Classes 1..best - size can never be branched on, since best only
+    grows, so they are stripped without being recorded; each coloured word
+    costs one AND with its conflict mask.  The tree, and so the best code,
+    the node count and the flags, are those of recording the full
+    colouring.  Branches are also capped by the global split-form upper
+    bound on C(n, k, d) (any subset of words is a code, so the parameter
+    bound caps every branch).  Exceeding a budget returns the incumbent
+    with optimal=False; a negative budget raises ParameterError.
     """
+    if node_budget is not None and node_budget < 0:
+        raise ParameterError(f"node budget must be nonnegative, got {node_budget}")
+    if wall_budget_s is not None and wall_budget_s < 0:
+        raise ParameterError(f"wall budget must be nonnegative, got {wall_budget_s}")
     param_cap = upper_bound(n, k, d).floor_value
     total = word_count(n, k, 2)
     if total > word_ceiling:
         raise ParameterError(f"universe has {total} words, above the ceiling {word_ceiling}")
     rows = _universe_rows(n, k, 2, 0)
     adjacency = _compatibility_masks(rows, n, k, d)
+    full = (1 << len(rows)) - 1
+    # the words in conflict with v, v itself excluded: a colour class's remaining candidates
+    apart = [full & ~mask & ~(1 << v) for v, mask in enumerate(adjacency)]
+    budget = math.inf if node_budget is None else node_budget
 
     best_set = _first_fit_clique(adjacency)
     best = best_set.bit_count()
@@ -346,7 +364,7 @@ def exact_max_code(
     def expand(candidates: int, size: int, current: int) -> None:
         nonlocal best, best_set, nodes, stop_wall, stop_nodes
         nodes += 1
-        if node_budget is not None and nodes > node_budget:
+        if nodes > budget:
             stop_nodes = True
             return
         if wall_budget_s is not None and nodes % 256 == 0:
@@ -357,10 +375,19 @@ def exact_max_code(
             best, best_set = size, current
         if best >= param_cap:
             return
-        order: list[int] = []
-        colors: list[int] = []
         uncolored = candidates
         color = 0
+        # classes 1..best - size, never branched on; inside a class, available
+        # stays within uncolored, so apart[v] alone updates it
+        while uncolored and color < best - size:
+            color += 1
+            available = uncolored
+            while available:
+                low = available & -available
+                uncolored ^= low
+                available &= apart[low.bit_length() - 1]
+        order: list[int] = []
+        colors: list[int] = []
         while uncolored:
             color += 1
             available = uncolored
@@ -368,19 +395,19 @@ def exact_max_code(
                 low = available & -available
                 v = low.bit_length() - 1
                 uncolored ^= low
-                available &= ~adjacency[v] & uncolored
+                available &= apart[v]
                 order.append(v)
                 colors.append(color)
         for idx in range(len(order) - 1, -1, -1):
-            if stop_wall or stop_nodes or best >= param_cap:
-                return
             if size + colors[idx] <= best:
                 return
             v = order[idx]
             expand(candidates & adjacency[v], size + 1, current | (1 << v))
+            if stop_wall or stop_nodes or best >= param_cap:
+                return
             candidates &= ~(1 << v)
 
-    expand((1 << len(rows)) - 1, 0, 0)
+    expand(full, 0, 0)
     chosen = [i for i in range(len(rows)) if best_set >> i & 1]
     code = Code._from_rows(n, k, 2, 0, d, rows[chosen])
     optimal = not (stop_wall or stop_nodes)

@@ -285,6 +285,23 @@ def test_exact_cli(capsys):
     assert "optimal: false" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact", "--n", "8", "--k", "2", "--d", "3", "--node-budget", "-1"),
+        ("exact", "--n", "8", "--k", "2", "--d", "3", "--budget-seconds", "-1"),
+        ("antagonistic", "search", "--k", "3", "--m", "19", "--node-budget", "-1"),
+        ("antagonistic", "search", "--k", "3", "--m", "19", "--budget-seconds", "-1"),
+    ],
+    ids=["exact nodes", "exact seconds", "search nodes", "search seconds"],
+)
+def test_negative_budgets_exit_invalid(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "budget must be nonnegative" in err
+    assert "Traceback" not in err
+
+
 def test_greedy_cli_seed_echo_and_determinism(capsys):
     code, first, _ = run(capsys, "greedy", "--n", "9", "--k", "2", "--d", "3", "--seed", "1", "--format", "json")
     assert code == 0

@@ -411,6 +411,42 @@ def test_constructors_refuse_fractional_integers(build):
 @pytest.mark.parametrize(
     "build",
     [
+        lambda: KSubset(6.5, (0, 1)),
+        lambda: KSubset.of((1, 0), 6.5),
+        lambda: canonicalize([[0, 1], [2, 3]], 6.5),
+        lambda: ekcodes.BlockDesign(6.5, 2, ((0, 1),)),
+        lambda: ekcodes.BlockDesign(6, 2.5, ((0, 1),)),
+        lambda: Code(6.5, 2, 2, 0, 3, []),
+        lambda: Code(6, 2.0, 2, 0, 3, []),
+        lambda: Code(6, 2, 2.0, 0, 3, []),
+        lambda: Code(6, 2, 2, 0, 3.0, []),
+        lambda: ekcodes.CyclicGeneratorPair(9.0, (1, 8), (2, 3)),
+        lambda: QaryWord(3, 3.5, (1, 0, 2)),
+        lambda: QaryWord(3.0, 3, (1, 0, 2)),
+    ],
+    ids=[
+        "KSubset n", "KSubset.of n", "canonicalize n", "BlockDesign v", "BlockDesign t",
+        "Code n", "Code k", "Code s", "Code d", "CyclicGeneratorPair m", "QaryWord q", "QaryWord n",
+    ],
+)
+def test_constructors_refuse_fractional_size_parameters(build):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        build()
+
+
+def test_size_parameters_are_stored_as_ints():
+    n = np.int64(6)
+    assert type(KSubset(n, (0, 1)).n) is int
+    assert type(canonicalize([[0, 1], [2, 3]], n).n) is int
+    assert type(QaryWord(3, np.int64(3), (1, 0, 2)).q) is int
+    assert type(ekcodes.BlockDesign(n, np.int64(2), ((0, 1),)).v) is int
+    assert type(ekcodes.CyclicGeneratorPair(np.int64(9), (1, 8), (2, 3)).m) is int
+    assert all(type(x) is int for x in (Code(n, 2, 2, 0, 3, []).n, Code(6, np.int64(2), 2, 0, 3, []).k))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
         lambda: KSubset.of([4, 0, 2], 5),
         lambda: KSubset.of([], 0),
         lambda: KSubset.of([69, 3], 70),

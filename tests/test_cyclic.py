@@ -173,6 +173,17 @@ def test_search_limit_and_budget():
     assert budgeted.frontier  # something left to explore
 
 
+@pytest.mark.parametrize("budgets", [{"node_budget": -1}, {"wall_budget_s": -1.0}])
+def test_search_refuses_negative_budgets(budgets):
+    with pytest.raises(ParameterError, match="budget must be nonnegative"):
+        search_antagonistic(3, 19, **budgets)
+
+
+def test_search_zero_node_budget_stops_before_the_root():
+    result = search_antagonistic(3, 19, node_budget=0)
+    assert result.nodes == 0 and not result.exhausted and len(result.frontier) == 1
+
+
 def test_search_results_canonical_and_sorted():
     result = search_antagonistic(2, 9)
     keys = [(p.s_set, p.t_set) for p in result.pairs]

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from itertools import permutations
 
 import numpy as np
@@ -769,3 +770,91 @@ def test_exact_rejects_bad_distance_before_building(monkeypatch, d):
     monkeypatch.setattr(search, "_compatibility_masks", unreachable)
     with pytest.raises(ParameterError, match="need 1 <= d <= 2k <= n"):
         exact_max_code(8, 2, d)
+
+
+def _reference_exact(n, k, d, node_budget=None, wall_budget_s=None):
+    """The exact search with the full greedy colouring at every node: every word goes
+    into `order`/`colors`, classes the branch loop never reaches included, and each
+    class drops a word's compatible words by ~adjacency[v] & uncolored.  Returns the
+    best rows, the node count and the two flags."""
+    param_cap = upper_bound(n, k, d).floor_value
+    rows = core._universe_rows(n, k, 2, 0)
+    adjacency = search._compatibility_masks(rows, n, k, d)
+
+    best_set = search._first_fit_clique(adjacency)
+    best = best_set.bit_count()
+    nodes = 0
+    stop_wall = False
+    stop_nodes = False
+    start = time.monotonic()
+
+    def expand(candidates: int, size: int, current: int) -> None:
+        nonlocal best, best_set, nodes, stop_wall, stop_nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            stop_nodes = True
+            return
+        if wall_budget_s is not None and nodes % 256 == 0:
+            if time.monotonic() - start > wall_budget_s:
+                stop_wall = True
+                return
+        if size > best:
+            best, best_set = size, current
+        if best >= param_cap:
+            return
+        order: list[int] = []
+        colors: list[int] = []
+        uncolored = candidates
+        color = 0
+        while uncolored:
+            color += 1
+            available = uncolored
+            while available:
+                low = available & -available
+                v = low.bit_length() - 1
+                uncolored ^= low
+                available &= ~adjacency[v] & uncolored
+                order.append(v)
+                colors.append(color)
+        for idx in range(len(order) - 1, -1, -1):
+            if stop_wall or stop_nodes or best >= param_cap:
+                return
+            if size + colors[idx] <= best:
+                return
+            v = order[idx]
+            expand(candidates & adjacency[v], size + 1, current | (1 << v))
+            candidates &= ~(1 << v)
+
+    expand((1 << len(rows)) - 1, 0, 0)
+    chosen = [i for i in range(len(rows)) if best_set >> i & 1]
+    return rows[chosen].tolist(), nodes, not (stop_wall or stop_nodes), stop_nodes
+
+
+# unbudgeted runs only where the whole tree takes at most a few thousand nodes
+_UNBUDGETED_TOO_LONG = {(7, 2, 2), (9, 2, 2), (7, 3, 2), (8, 3, 2), (8, 3, 3)}
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (5, 1), (9, 1), (28, 1), (4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (9, 2), (6, 3), (7, 3), (8, 3)])
+def test_exact_matches_full_colouring_reference(n, k):
+    """The stripped colouring explores the reference's tree: the same best code, node
+    count and flags at every budget, so the cut-off changes the cost of a node only."""
+    for d in range(1, 2 * k + 1):
+        for budget in (0, 1, 2, 3, 10, 100, 1000, 5000, None):
+            if budget is None and (n, k, d) in _UNBUDGETED_TOO_LONG:
+                continue
+            report = exact_max_code(n, k, d, node_budget=budget)
+            got = (report.best_code.rows.tolist(), report.nodes_explored, report.optimal, report.node_budget_hit)
+            assert got == _reference_exact(n, k, d, node_budget=budget), (n, k, d, budget)
+
+
+def test_exact_wall_budget_stops_at_the_first_check():
+    report = exact_max_code(9, 2, 2, wall_budget_s=0.0)
+    assert report.wall_budget_hit and not report.node_budget_hit and not report.optimal
+    assert report.nodes_explored == 256  # the wall clock is read every 256 nodes
+    assert len(report.best_code) >= 2 and verify_code(report.best_code) >= 2
+
+
+@pytest.mark.parametrize("budgets", [{"node_budget": -1}, {"wall_budget_s": -1.0}, {"wall_budget_s": -1e-9}])
+def test_exact_refuses_negative_budgets(budgets):
+    with pytest.raises(ParameterError, match="budget must be nonnegative"):
+        exact_max_code(8, 2, 3, **budgets)
