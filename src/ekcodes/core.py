@@ -378,9 +378,8 @@ class QaryWord:
         syms = tuple(self.symbols)
         try:  # int-like symbols all in [0, 256) become Python ints in C
             syms, low = tuple(bytes(syms)), 0
-        except (TypeError, ValueError):
-            # an integral float stands for its int, as in code files; any other non-integer raises TypeError
-            syms = tuple(int(x) if type(x) is float and x.is_integer() else index(x) for x in syms)
+        except (TypeError, ValueError):  # a non-integer, a float included, raises TypeError here
+            syms = tuple(map(index, syms))
             low = min(syms, default=0)
         object.__setattr__(self, "symbols", syms)
         if len(syms) != n:

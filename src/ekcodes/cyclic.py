@@ -16,10 +16,10 @@ checkpoint node the tree never reaches is refused before any search.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -126,22 +126,17 @@ def _canonical_form(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """canonical_generator_form on a raw (m, S, T), with no validation.
 
-    With each set sorted once per sign, the image of x -> x - pivot (mod m)
-    is a window of the set and its lift by m.
+    Each candidate image is x -> sign * (x - pivot) mod m, sorted; a pivot
+    whose first set already sorts above the best one skips its second set.
     """
     best: tuple[list[int], list[int]] | None = None
     for sign in (1, -1):
-        s0 = sorted(sign * x % m for x in s_set)
-        t0 = sorted(sign * x % m for x in t_set)
-        for first, second in ((s0, t0), (t0, s0)):
-            ring = first + [x + m for x in first]
-            ring2 = second + [x + m for x in second]
-            for i, pivot in enumerate(first):
-                head = [x - pivot for x in ring[i : i + len(first)]]
+        for first, second in ((s_set, t_set), (t_set, s_set)):
+            for pivot in first:
+                head = sorted(sign * (x - pivot) % m for x in first)
                 if best is not None and head > best[0]:
                     continue
-                j = bisect_left(second, pivot)
-                cand = (head, [x - pivot for x in ring2[j : j + len(second)]])
+                cand = (head, sorted(sign * (x - pivot) % m for x in second))
                 if best is None or cand < best:
                     best = cand
     assert best is not None
@@ -269,7 +264,9 @@ def search_antagonistic(
     traversed depth first with element candidates in increasing order, so
     runs are deterministic and take no seed.  The exhaustion flag is set
     only when the whole symmetry-reduced tree was traversed (no limit or
-    budget stop).  A negative budget raises ParameterError.
+    budget stop).  A limit below 1 or a negative budget raises
+    ParameterError.  As in exact_max_code, the wall clock is read every
+    256 nodes, so even a zero wall budget pops 256 nodes.
 
     When `checkpoint` names an existing nonempty file, the search resumes
     from the partial assignments listed there: a {"k", "m"} header line,
@@ -283,9 +280,14 @@ def search_antagonistic(
         raise ParameterError(f"need k >= 1, got k={k}")
     if 2 * k > m:
         raise ParameterError(f"infeasible: 2k = {2 * k} exceeds m = {m}")
-    if node_budget is not None and node_budget < 0:
+    most = math.inf if limit is None else operator.index(limit)
+    budget = math.inf if node_budget is None else node_budget
+    wall = math.inf if wall_budget_s is None else wall_budget_s
+    if most < 1:
+        raise ParameterError(f"limit must be >= 1, got {limit}")
+    if budget < 0:
         raise ParameterError(f"node budget must be nonnegative, got {node_budget}")
-    if wall_budget_s is not None and wall_budget_s < 0:
+    if wall < 0:
         raise ParameterError(f"wall budget must be nonnegative, got {wall_budget_s}")
 
     bits = _distance_bits(m)
@@ -326,10 +328,7 @@ def search_antagonistic(
     stopped = False
     t0 = time.monotonic()
     while stack:
-        if node_budget is not None and nodes >= node_budget:
-            stopped = True
-            break
-        if wall_budget_s is not None and time.monotonic() - t0 > wall_budget_s:
+        if nodes >= budget or (nodes and nodes % 256 == 0 and time.monotonic() - t0 > wall):
             stopped = True
             break
         node = stack.pop()
@@ -339,7 +338,7 @@ def search_antagonistic(
             canon = _canonical_form(m, s, t)
             if canon not in found:
                 found[canon] = CyclicGeneratorPair(m, canon[0], canon[1])
-                if limit is not None and len(found) >= limit:
+                if len(found) >= most:
                     stopped = True
                     break
             continue

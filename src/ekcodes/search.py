@@ -422,6 +422,8 @@ def exact_max_code(
 
 def exhaustive_max_code(n: int, k: int, d: int, word_ceiling: int = 2_000) -> int:
     """Independent oracle: every clique of the pair_distance graph of all words, no pruning at all."""
+    if not 1 <= d <= 2 * k <= n:
+        raise ParameterError(f"need 1 <= d <= 2k <= n, got ({n},{k},{d})")
     total = word_count(n, k, 2)
     if total > word_ceiling:
         raise ParameterError(f"universe has {total} words, above the ceiling {word_ceiling}")

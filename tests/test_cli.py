@@ -149,6 +149,11 @@ def test_malformed_code_file_is_refused(tmp_path, capsys, change):
 def test_integral_floats_in_a_code_file_load_as_ints():
     text = json.dumps({**_PAIR_FILE, "n": 6.0, "words": [[[0, 1.0], [2, 3]]], "verified_min_distance": 3.0})
     assert ekcodes.code_from_json(text) == ekcodes.code_from_json(json.dumps({**_PAIR_FILE, "verified_min_distance": 3}))
+    qary = {**_PAIR_FILE, "s": 1, "q": 3, "d": 1}
+    text = json.dumps({**qary, "words": [[[1.0, 0, 2.0, 0, 0, 0]]]})
+    code = ekcodes.code_from_json(text)
+    assert code == ekcodes.code_from_json(json.dumps({**qary, "words": [[[1, 0, 2, 0, 0, 0]]]}))
+    assert all(type(x) is int for word in code.words for x in word.symbols)
 
 
 _DESIGN_FILE = {"v": 6, "t": 2, "blocks": [[0, 1, 3]]}
@@ -299,6 +304,14 @@ def test_negative_budgets_exit_invalid(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "budget must be nonnegative" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_antagonistic_search_refuses_an_empty_limit(capsys, limit):
+    code, out, err = run(capsys, "antagonistic", "search", "--k", "3", "--m", "19", "--limit", limit)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "limit must be >= 1" in err
     assert "Traceback" not in err
 
 

@@ -411,6 +411,22 @@ def test_constructors_refuse_fractional_integers(build):
 @pytest.mark.parametrize(
     "build",
     [
+        lambda: QaryWord(3, 3, (1.0, 0, 2)),
+        lambda: KSubset(6, (0, 1.0)),
+        lambda: canonicalize([[0, 1.0], [2, 3]], 6),
+        lambda: ekcodes.CyclicGeneratorPair(9, (1.0, 8), (2, 3)),
+    ],
+    ids=["QaryWord", "KSubset", "canonicalize", "CyclicGeneratorPair"],
+)
+def test_constructors_refuse_integral_floats(build):
+    # one integer rule: an integral float is no integer either; code files turn 3.0 into 3 before any constructor
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
         lambda: KSubset(6.5, (0, 1)),
         lambda: KSubset.of((1, 0), 6.5),
         lambda: canonicalize([[0, 1], [2, 3]], 6.5),
@@ -465,7 +481,7 @@ def test_ksubset_of_matches_the_checked_constructor(build):
     "q, symbols, expected",
     [
         (3, (np.int64(2), 0, True), (2, 0, 1)),
-        (3, (1.0, 0, 2), (1, 0, 2)),
+        (3, (np.uint8(1), 0, np.int32(2)), (1, 0, 2)),
         (3, [0, 1, 2], (0, 1, 2)),
         (3, (x for x in (2, 0, 1)), (2, 0, 1)),
         (3, b"\x01\x00\x02", (1, 0, 2)),

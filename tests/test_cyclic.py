@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -18,6 +19,7 @@ from ekcodes import (
     search_antagonistic,
     verify_code,
 )
+from ekcodes import cyclic
 
 # the published antagonistic pairs mod 2k^2+1, translated to residues
 PAIR_K1 = CyclicGeneratorPair(3, (1,), (2,))
@@ -177,6 +179,27 @@ def test_search_limit_and_budget():
 def test_search_refuses_negative_budgets(budgets):
     with pytest.raises(ParameterError, match="budget must be nonnegative"):
         search_antagonistic(3, 19, **budgets)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_search_refuses_an_empty_limit(limit):
+    with pytest.raises(ParameterError, match="limit must be >= 1"):
+        search_antagonistic(3, 19, limit=limit)
+
+
+def test_search_limit_must_be_an_integer():
+    with pytest.raises(TypeError):
+        search_antagonistic(3, 19, limit=1.0)
+
+
+def test_search_zero_wall_budget_stops_at_the_first_clock_read(tmp_path):
+    ckpt = tmp_path / "frontier.txt"
+    result = search_antagonistic(4, 33, wall_budget_s=0.0, checkpoint=ckpt)
+    assert result.nodes == 256 and not result.exhausted  # the wall clock is read every 256 nodes
+    assert _tree(result) == _tree(search_antagonistic(4, 33, node_budget=256))
+    lines = ckpt.read_text().splitlines()
+    assert json.loads(lines[0]) == {"k": 4, "m": 33}
+    assert [json.loads(line) for line in lines[1:]] == [{"S": list(s), "T": list(t)} for s, t in result.frontier]
 
 
 def test_search_zero_node_budget_stops_before_the_root():
@@ -465,3 +488,39 @@ def test_search_frontier_matches_rebuilding_oracle_4_33():
 def test_search_3_19_tree_size_pinned():
     result = search_antagonistic(3, 19)
     assert (result.nodes, len(result.pairs)) == (5167, 12)
+
+
+@pytest.mark.parametrize(
+    "k, m, budget, nodes, pairs, exhausted, frontier, digest",
+    [
+        (3, 19, None, 5167, 12, True, 0, "b533011210eb"),
+        (3, 23, None, 19823, 352, True, 0, "2d17303e348a"),
+        (3, 28, 5000, 5000, 966, False, 55, "62567bdfa7b9"),
+        (4, 33, 8000, 8000, 0, False, 83, "4f53cda18c2b"),
+    ],
+)
+def test_search_outputs_pinned(k, m, budget, nodes, pairs, exhausted, frontier, digest):
+    result = search_antagonistic(k, m, node_budget=budget)
+    assert (result.nodes, len(result.pairs), result.exhausted, len(result.frontier)) == (
+        nodes, pairs, exhausted, frontier
+    )
+    found = json.dumps([(p.s_set, p.t_set) for p in result.pairs])
+    assert hashlib.sha256(found.encode()).hexdigest()[:12] == digest
+
+
+@pytest.mark.parametrize("k, m, budget", [(3, 19, None), (4, 33, 8000), (4, 35, 20000)])
+def test_every_search_leaf_gets_its_full_orbit_form(monkeypatch, k, m, budget):
+    # (4, 33) has no pair, so its 8000 nodes reach no leaf; (4, 35) gives k = 4 leaves
+    leaves = []
+    canonical_form = cyclic._canonical_form
+
+    def recording(m, s, t):
+        form = canonical_form(m, s, t)
+        leaves.append((CyclicGeneratorPair(m, s, t), form))
+        return form
+
+    monkeypatch.setattr(cyclic, "_canonical_form", recording)
+    result = search_antagonistic(k, m, node_budget=budget)
+    assert len(leaves) >= len(result.pairs)
+    for pair, form in leaves:
+        assert form == _full_orbit_canonical_form(pair), pair

@@ -772,6 +772,17 @@ def test_exact_rejects_bad_distance_before_building(monkeypatch, d):
         exact_max_code(8, 2, d)
 
 
+@pytest.mark.parametrize("n,k,d", [(5, 2, 0), (5, 2, 5), (6, 2, 0), (3, 2, 2)])
+def test_exhaustive_rejects_bad_parameters_before_building(monkeypatch, n, k, d):
+    def unreachable(*args):
+        raise AssertionError("words enumerated or graph built for bad parameters")
+
+    monkeypatch.setattr(search, "enumerate_words", unreachable)
+    monkeypatch.setattr(search, "pair_distance", unreachable)
+    with pytest.raises(ParameterError, match="need 1 <= d <= 2k <= n"):
+        exhaustive_max_code(n, k, d)
+
+
 def _reference_exact(n, k, d, node_budget=None, wall_budget_s=None):
     """The exact search with the full greedy colouring at every node: every word goes
     into `order`/`colors`, classes the branch loop never reaches included, and each
