@@ -14,12 +14,16 @@ the same words by claiming witnesses as integer keys in a dense array
 (claim_greedy, which greedy_packing shares).  Every word is examined, so
 the output is maximal.
 
-Universes beyond the in-memory shuffle cap are permuted by a Feistel
-network on the index space (images >= M are skipped, which still visits
-each index exactly once; lanes whose image cannot fall below M are
-dropped before the last round).  One helper thread computes the next
-Feistel chunk while the caller screens the current one.  The permutation
-is deterministic in the seed and needs O(chunk) memory.
+Universes up to SHUFFLE_CAP are shuffled in memory as one int32 array,
+4 bytes per index.  Larger ones are permuted by a Feistel network on the
+index space (images >= M are skipped, which still visits each index
+exactly once; lanes whose image cannot fall below M are dropped before
+the last round).  One helper thread computes the next Feistel chunk of
+_CHUNK domain positions while the caller screens the current one.  The
+pair stream unranks, lifts and keys each chunk in slices of _SLICE
+indices, so besides the permutation only one slice's temporaries are
+alive.  The permutation is deterministic in the seed, and no output
+depends on the chunk or slice sizes.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ SHUFFLE_CAP = 1 << 22
 SPACE_CAP = 1 << 26
 STREAM_CAP = 1 << 30
 _CHUNK = 1 << 20
-_FEISTEL_BLOCK = 1 << 15
+_SLICE = 1 << 16
+_FEISTEL_BLOCK = 1 << 17
 
 
 def applicable(n: int, k: int, d: int) -> bool:
@@ -64,7 +69,10 @@ def _feistel_images(lo: int, hi: int, nbits: int, keys: np.ndarray, m: int) -> n
     """Images below m of the domain positions [lo, hi), in position order, as int64.
 
     Four balanced rounds on nbits-bit values, run in place on blocks of
-    _FEISTEL_BLOCK lanes so the round buffers stay in cache.  The right
+    _FEISTEL_BLOCK lanes: small enough that the round buffers stay in
+    cache, and large enough that the helper thread makes few numpy calls,
+    each of which must win the interpreter lock back from the caller
+    screening the previous chunk in slices.  The right
     half entering the last round becomes the image's high half, so a lane
     whose right half is above (m - 1) >> half can never map below m: it is
     dropped before the last round, and only the survivors run it and the
@@ -97,10 +105,12 @@ def _feistel_images(lo: int, hi: int, nbits: int, keys: np.ndarray, m: int) -> n
 
 
 def _permuted_chunks(m: int, seed: int, chunk: int):
-    """Yield a seeded permutation of range(m) in int64 chunks.
+    """Yield a seeded permutation of range(m) in chunks of at most `chunk` indices.
 
     Up to SHUFFLE_CAP (read at call time) the permutation is shuffled in
-    memory.  Above it, each chunk is a block of `chunk` Feistel domain
+    memory and the chunks are int32 views of it.  The shuffle draws do not
+    depend on the dtype, so this is rng.permutation(m) at half its memory.
+    Above the cap, each int64 chunk is a block of `chunk` Feistel domain
     positions with its images >= m dropped, and one helper thread computes
     the next block while the caller works on this one.  The blocks keep
     their order, at most one is in flight, and the thread is joined when
@@ -108,7 +118,8 @@ def _permuted_chunks(m: int, seed: int, chunk: int):
     """
     rng = np.random.default_rng(seed)
     if m <= SHUFFLE_CAP:
-        perm = rng.permutation(m)
+        perm = np.arange(m, dtype=np.int32)
+        rng.shuffle(perm)
         for lo in range(0, m, chunk):
             yield perm[lo : lo + chunk]
         return
@@ -195,9 +206,11 @@ def _stream_words(n: int, k: int, seed: int, chunk: int = _CHUNK):
     The mirrored copy, min(A) > min(B), is dropped before any gather:
     the complement of A has exactly min(A) elements below min(A), so the
     lifted B starts above min(A) iff B's own first element is >= min(A).
-    The order depends on the seed alone, not on `chunk`.  Intermediates
-    are dropped before each yield, so only one chunk's kept columns stay
-    alive.
+    Each permutation chunk is walked in slices of _SLICE (read at call
+    time) indices, and each slice with a kept word is yielded on its own,
+    so the unrank, gather and lift temporaries and the caller's keys are
+    sized by the slice.  The order depends on the seed alone, not on
+    `chunk` or _SLICE.
     """
     if 2 * k > n:
         return
@@ -208,21 +221,22 @@ def _stream_words(n: int, k: int, seed: int, chunk: int = _CHUNK):
     lex_a = _lex_columns(n, k)
     lex_b = _lex_columns(n - k, k)
     for ids in _permuted_chunks(m, seed, chunk):
-        idx_a, idx_b = np.divmod(ids, np.int64(n_second))
-        del ids
-        keep = lex_b[0][idx_b] >= lex_a[0][idx_a]
-        if not keep.any():
-            continue
-        idx_a, idx_b = np.compress(keep, idx_a), np.compress(keep, idx_b)
-        del keep
-        a_cols = [col[idx_a] for col in lex_a]
-        b_cols = [col[idx_b] for col in lex_b]
-        del idx_a, idx_b
-        # lift B out of the complement of A (shifts applied in ascending-A order)
-        for aj in a_cols:
-            for b in b_cols:
-                b += b >= aj
-        yield a_cols, b_cols
+        for lo in range(0, ids.size, _SLICE):
+            part = ids[lo : lo + _SLICE]
+            # a Python-int divisor keeps int32 ids in int32, where floor division is cheapest
+            idx_a = part // n_second
+            idx_b = part - idx_a * n_second
+            keep = lex_b[0][idx_b] >= lex_a[0][idx_a]
+            if not keep.any():
+                continue
+            idx_a, idx_b = np.compress(keep, idx_a), np.compress(keep, idx_b)
+            a_cols = [col[idx_a] for col in lex_a]
+            b_cols = [col[idx_b] for col in lex_b]
+            # lift B out of the complement of A (shifts applied in ascending-A order)
+            for aj in a_cols:
+                for b in b_cols:
+                    b += b >= aj
+            yield a_cols, b_cols
 
 
 def _rows(cols: list[np.ndarray], picks) -> list[tuple[int, ...]]:

@@ -264,9 +264,10 @@ def search_antagonistic(
     traversed depth first with element candidates in increasing order, so
     runs are deterministic and take no seed.  The exhaustion flag is set
     only when the whole symmetry-reduced tree was traversed (no limit or
-    budget stop).  A limit below 1 or a negative budget raises
-    ParameterError.  As in exact_max_code, the wall clock is read every
-    256 nodes, so even a zero wall budget pops 256 nodes.
+    budget stop).  The limit and node budget are read as integers, so a
+    float or a string raises TypeError; a limit below 1 or a negative
+    budget raises ParameterError.  As in exact_max_code, the wall clock is
+    read every 256 nodes, so even a zero wall budget pops 256 nodes.
 
     When `checkpoint` names an existing nonempty file, the search resumes
     from the partial assignments listed there: a {"k", "m"} header line,
@@ -281,7 +282,7 @@ def search_antagonistic(
     if 2 * k > m:
         raise ParameterError(f"infeasible: 2k = {2 * k} exceeds m = {m}")
     most = math.inf if limit is None else operator.index(limit)
-    budget = math.inf if node_budget is None else node_budget
+    budget = math.inf if node_budget is None else operator.index(node_budget)
     wall = math.inf if wall_budget_s is None else wall_budget_s
     if most < 1:
         raise ParameterError(f"limit must be >= 1, got {limit}")

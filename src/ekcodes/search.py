@@ -30,6 +30,7 @@ builds a word.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -337,9 +338,11 @@ def exact_max_code(
     colouring.  Branches are also capped by the global split-form upper
     bound on C(n, k, d) (any subset of words is a code, so the parameter
     bound caps every branch).  Exceeding a budget returns the incumbent
-    with optimal=False; a negative budget raises ParameterError.
+    with optimal=False.  The node budget is read as an integer, so a float
+    or a string raises TypeError; a negative budget raises ParameterError.
     """
-    if node_budget is not None and node_budget < 0:
+    budget = math.inf if node_budget is None else operator.index(node_budget)
+    if budget < 0:
         raise ParameterError(f"node budget must be nonnegative, got {node_budget}")
     if wall_budget_s is not None and wall_budget_s < 0:
         raise ParameterError(f"wall budget must be nonnegative, got {wall_budget_s}")
@@ -352,7 +355,6 @@ def exact_max_code(
     full = (1 << len(rows)) - 1
     # the words in conflict with v, v itself excluded: a colour class's remaining candidates
     apart = [full & ~mask & ~(1 << v) for v, mask in enumerate(adjacency)]
-    budget = math.inf if node_budget is None else node_budget
 
     best_set = _first_fit_clique(adjacency)
     best = best_set.bit_count()

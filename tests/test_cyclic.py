@@ -192,6 +192,12 @@ def test_search_limit_must_be_an_integer():
         search_antagonistic(3, 19, limit=1.0)
 
 
+@pytest.mark.parametrize("budget", [2.5, 3.0, "5"])
+def test_search_node_budget_must_be_an_integer(budget):
+    with pytest.raises(TypeError):
+        search_antagonistic(3, 19, node_budget=budget)
+
+
 def test_search_zero_wall_budget_stops_at_the_first_clock_read(tmp_path):
     ckpt = tmp_path / "frontier.txt"
     result = search_antagonistic(4, 33, wall_budget_s=0.0, checkpoint=ckpt)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 import threading
+import tracemalloc
 import warnings
 from itertools import combinations, permutations, product
 
@@ -104,6 +105,70 @@ def test_stream_matches_unrank_lift_keep_oracle(monkeypatch, n, k, chunk, cap):
     if chunk == 1:
         assert empty  # a one-index chunk holding a mirrored copy keeps no word
     assert sum(len(a[0]) for a, _ in got) == word_count(n, k, 2)
+
+
+def _concatenated(chunks):
+    """The a and b columns of a list of (a_cols, b_cols) chunks, each joined into one array."""
+    return [np.concatenate(cols) for cols in zip(*(a + b for a, b in chunks))]
+
+
+@pytest.mark.parametrize("n,k", [(12, 2), (9, 3), (9, 1), (4, 2)])
+@pytest.mark.parametrize("cap", [_greedy_fast.SHUFFLE_CAP, 8], ids=["shuffle", "feistel"])
+@pytest.mark.parametrize("size", [1, 7, 300])
+def test_sliced_stream_matches_unrank_lift_keep_oracle(monkeypatch, n, k, cap, size):
+    # cap 8 forces the Feistel branch; chunks of 1000 make slices of 300 end inside and at chunk ends
+    monkeypatch.setattr(_greedy_fast, "SHUFFLE_CAP", cap)
+    monkeypatch.setattr(_greedy_fast, "_SLICE", size)  # the oracle walks whole chunks
+    seed = 10 * n + k
+    for chunk in (1000, _greedy_fast._CHUNK):
+        expected, _ = _stream_oracle(n, k, seed, chunk)
+        got = list(_greedy_fast._stream_words(n, k, seed, chunk))
+        assert all(0 < len(a[0]) <= size for a, _ in got)  # no empty slice is yielded
+        for col, ref in zip(_concatenated(got), _concatenated(expected), strict=True):
+            assert col.dtype == ref.dtype
+            np.testing.assert_array_equal(col, ref)
+
+
+@pytest.mark.parametrize("cap", [_greedy_fast.SHUFFLE_CAP, 8], ids=["shuffle", "feistel"])
+def test_greedy_pairs_independent_of_slice(monkeypatch, cap):
+    monkeypatch.setattr(_greedy_fast, "SHUFFLE_CAP", cap)
+    default = _greedy_fast._SLICE
+    for n, k, d, seed in ((12, 2, 3, 9), (9, 3, 4, 2), (9, 1, 2, 5), (40, 2, 3, 3)):
+        monkeypatch.setattr(_greedy_fast, "_SLICE", default)
+        rows = _greedy_fast.greedy_pairs(n, k, d, seed)
+        # one index per slice is too slow for the 548,340-index stream of n = 40
+        for size in (1, 7, 300) if n < 40 else (300, 4099):
+            monkeypatch.setattr(_greedy_fast, "_SLICE", size)
+            assert _greedy_fast.greedy_pairs(n, k, d, seed) == rows
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 4099, 65537])
+def test_int32_shuffle_is_the_seeded_permutation(m):
+    """_permuted_chunks shuffles an int32 arange in place; it must draw rng.permutation(m)."""
+    for seed in (0, 5, 2**40):
+        perm = np.arange(m, dtype=np.int32)
+        np.random.default_rng(seed).shuffle(perm)
+        np.testing.assert_array_equal(perm, np.random.default_rng(seed).permutation(m))
+        chunks = list(_greedy_fast._permuted_chunks(m, seed, 1000))
+        assert all(c.dtype == np.int32 for c in chunks)
+        np.testing.assert_array_equal(np.concatenate(chunks), perm)
+
+
+@pytest.mark.parametrize("cap", [_greedy_fast.SHUFFLE_CAP, 1], ids=["shuffle", "feistel"])
+def test_greedy_pairs_working_set_is_bounded(monkeypatch, cap):
+    """The traced peak (tracemalloc sees numpy's buffers) of a 548,340-index pair stream stays small.
+
+    16 MiB is about half of what unranking, lifting and keying the whole
+    stream at once takes, so a stage that stops slicing fails here.
+    """
+    monkeypatch.setattr(_greedy_fast, "SHUFFLE_CAP", cap)  # cap 1 forces the Feistel branch
+    tracemalloc.start()
+    try:
+        _greedy_fast.greedy_pairs(40, 2, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 1000, 4099])

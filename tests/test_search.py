@@ -709,6 +709,17 @@ def test_exact_node_budget_clears_optimal_flag():
     assert len(report.best_code) >= 1  # incumbent still returned
 
 
+@pytest.mark.parametrize("budget", [2.5, 3.0, "5"])
+def test_exact_node_budget_must_be_an_integer(budget):
+    with pytest.raises(TypeError):
+        exact_max_code(8, 2, 3, node_budget=budget)
+
+
+def test_exact_reads_an_integer_like_node_budget():
+    report = exact_max_code(8, 2, 3, node_budget=np.int64(3))
+    assert report.nodes_explored == exact_max_code(8, 2, 3, node_budget=3).nodes_explored == 4
+
+
 def test_ratio_experiment_table():
     rows = ratio_experiment(2, 3, [12, 16], seed=1, repetitions=2)
     assert [row["n"] for row in rows] == [12, 16]
