@@ -11,6 +11,10 @@ distance >= 2k-1.
 Every residue search (this one and designs.planar_difference_set) walks
 the one tree of _extensions, and _replay builds each start node, so a
 checkpoint node the tree never reaches is refused before any search.
+A node keeps its used distances as Python-int bitsets over Z_m (the
+residues d and -d of each distance d), so a few shifts screen every
+candidate residue of the node at once, and masks are built only for the
+children that pass; the tables this takes are built by each search call.
 """
 
 from __future__ import annotations
@@ -171,80 +175,115 @@ class AntagonisticSearch:
     frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
 
 
-# A search node: the partial pair (S, T) and bitmasks of the within-set and
-# cross distances it uses.
-_Node = tuple[tuple[int, ...], tuple[int, ...], int, int]
+# A search node: the partial pair (S, T), the residue masks `within` and
+# `cross` of the distances it uses, and the residues `barred` as a next
+# element (see _extensions).
+_Node = tuple[tuple[int, ...], tuple[int, ...], int, int, int]
+_Tables = tuple[list[int], list[int], list[int]]
 
 
-def _distance_bits(m: int) -> list[int]:
-    """bits[r] = 1 << circular_distance(0, r, m), for r in [0, m).
+def _residue_tables(m: int) -> _Tables:
+    """The per-search tables (dbl, mid, above) of _extensions over Z_m.
 
-    bits[e - a] is then the distance bit of a and e in [0, m): a negative
-    index wraps to (e - a) mod m.
+    - dbl[r] has the residues r and -r in both halves of a 2m-bit mask: a
+      distance's bits in the doubled form of within and cross.  A negative
+      r wraps, so dbl[e - a] serves any a, e in [0, m).
+    - mid[c] = {e in [0, m) : 2e = c (mod m)}, for c in [0, 2m): the
+      residues e with dist(e, a) = dist(e, b) when a + b = c.
+    - above[lo] = the residues [lo, m).
+
+    They take O(m) ints and are built by each search call, not at import.
     """
-    return [1 << min(r, m - r) for r in range(m)]
+    dbl = []
+    for r in range(m):
+        pair = 1 << r | 1 << (m - r) % m
+        dbl.append(pair | pair << m)
+    mid = [0] * m
+    for e in range(m):
+        mid[2 * e % m] |= 1 << e
+    full = (1 << m) - 1
+    return dbl, mid + mid, [full ^ ((1 << lo) - 1) for lo in range(m + 1)]
 
 
-def _replay(s: tuple[int, ...], t: tuple[int, ...], k: int, m: int, bits: list[int]) -> _Node | None:
+def _replay(s: tuple[int, ...], t: tuple[int, ...], k: int, m: int, tables: _Tables) -> _Node | None:
     """The tree node of the partial pair (S, T), or None if the tree never reaches it.
 
-    The root is S = (0,), T = (), with both masks seeded with the m/2 bit
-    when m is even, so that distance is never admitted as a new one.  Each
-    later element must name a child under _extensions of the node before it.
+    The root is S = (0,), T = (), with both masks seeded with the residue
+    m/2 when m is even, so that distance is never admitted as a new one
+    (and with 0 barred when k = 1, as S is full).  Each later element must
+    name a child under _extensions of the node before it.
     """
-    seed = bits[m // 2] if m % 2 == 0 else 0
+    seed = tables[0][m // 2] if m % 2 == 0 else 0
     if not s or s[0] != 0 or len(t) > k:
         return None
-    node = ((0,), (), seed, seed)
+    node = ((0,), (), seed, seed, 1 if k == 1 else 0)
     for i in range(2, len(s) + len(t) + 1):
         target = (s[:i], ()) if i <= len(s) else (s, t[: i - len(s)])
-        node = next((c for c in _extensions(node, k, m, bits) if c[:2] == target), None)
+        node = next((c for c in _extensions(node, k, m, tables) if c[:2] == target), None)
         if node is None:
             return None
     return node
 
 
-def _extensions(node: _Node, k: int, m: int, bits: list[int]) -> list[_Node]:
+def _extensions(node: _Node, k: int, m: int, tables: _Tables) -> list[_Node]:
     """Valid children of a partial assignment, in increasing element order.
 
-    The node carries its used within and cross distances as bitmasks, and
-    `bits` (see _distance_bits) gives each new distance's bit by one list
-    lookup.  A child is kept only if its new within/cross distances are
-    distinct and miss the parent's masks, which holds every collision the
-    antagonism conditions forbid; it carries the masks with its own
-    distances added.
+    Masks live in the residue domain: for each used distance d, `within`
+    and `cross` hold the residues d and -d, doubled to 2m bits (M | M << m,
+    see _residue_tables), so bit e of M >> (m - a) says whether
+    dist(a, e) is used, for every e in [0, m) at once.  `barred` holds the
+    residues where two of a candidate's new distances would coincide:
+    dist(e, a) = dist(e, b) iff 2e = a + b (mod m), so each pair of S, and
+    of T, bars mid[a + b]; once S is full its members are barred too.
+
+    One screen per node then rejects every candidate whose new within or
+    cross distances repeat, or hit the parent's masks, which holds every
+    collision the antagonism conditions forbid:
+    - S phase: bad = barred | OR over a in S of within >> (m - a)
+    - T phase: bad = barred | OR over a in T of within >> (m - a)
+      | OR over a in S of cross >> (m - a)
+    The candidates above[lo] & ~bad are read low bit first, and each child
+    carries its parent's masks with its own distances and midpoints added.
     """
-    s, t, within, cross = node
+    s, t, within, cross, barred = node
+    dbl, mid, above = tables
     children: list[_Node] = []
     if len(s) < k:
-        for e in range(s[-1] + 1 if s else 0, m):
-            used = within
+        bad = barred
+        for a in s:
+            bad |= within >> (m - a)
+        free = above[s[-1] + 1] & ~bad
+        full = len(s) + 1 == k
+        members = sum(1 << a for a in s) if full else 0
+        while free:
+            low = free & -free
+            free ^= low
+            e = low.bit_length() - 1
+            used, bars = within, barred
             for a in s:
-                bit = bits[e - a]
-                if used & bit:
-                    break
-                used |= bit
-            else:
-                children.append(((*s, e), t, used, cross))
+                used |= dbl[e - a]
+                bars |= mid[e + a]
+            if full:
+                bars |= members | low
+            children.append(((*s, e), t, used, cross, bars))
         return children
-    for e in range(t[-1] + 1 if t else 1, m):
-        if e in s:
-            continue
-        used = within
+    bad = barred
+    for a in t:
+        bad |= within >> (m - a)
+    for a in s:
+        bad |= cross >> (m - a)
+    free = above[t[-1] + 1 if t else 1] & ~bad
+    while free:
+        low = free & -free
+        free ^= low
+        e = low.bit_length() - 1
+        used, crossed, bars = within, cross, barred
         for a in t:
-            bit = bits[e - a]
-            if used & bit:
-                break
-            used |= bit
-        else:
-            crossed = cross
-            for a in s:
-                bit = bits[e - a]
-                if crossed & bit:
-                    break
-                crossed |= bit
-            else:
-                children.append((s, (*t, e), used, crossed))
+            used |= dbl[e - a]
+            bars |= mid[e + a]
+        for a in s:
+            crossed |= dbl[e - a]
+        children.append((s, (*t, e), used, crossed, bars))
     return children
 
 
@@ -264,9 +303,9 @@ def search_antagonistic(
     traversed depth first with element candidates in increasing order, so
     runs are deterministic and take no seed.  The exhaustion flag is set
     only when the whole symmetry-reduced tree was traversed (no limit or
-    budget stop).  The limit and node budget are read as integers, so a
-    float or a string raises TypeError; a limit below 1 or a negative
-    budget raises ParameterError.  As in exact_max_code, the wall clock is
+    budget stop).  k, m, the limit and the node budget are read as
+    integers, so a float or a string raises TypeError before any node
+    runs; a limit below 1 or a negative budget raises ParameterError.  As in exact_max_code, the wall clock is
     read every 256 nodes, so even a zero wall budget pops 256 nodes.
 
     When `checkpoint` names an existing nonempty file, the search resumes
@@ -277,6 +316,7 @@ def search_antagonistic(
     stop the unexplored frontier is written back to it through a temporary
     file and an atomic rename; an exhausted search leaves it empty.
     """
+    k, m = operator.index(k), operator.index(m)
     if k < 1:
         raise ParameterError(f"need k >= 1, got k={k}")
     if 2 * k > m:
@@ -291,7 +331,7 @@ def search_antagonistic(
     if wall < 0:
         raise ParameterError(f"wall budget must be nonnegative, got {wall_budget_s}")
 
-    bits = _distance_bits(m)
+    tables = _residue_tables(m)
     stack: list[_Node]
     ckpt = Path(checkpoint) if checkpoint is not None else None
     saved = ckpt.read_text(encoding="utf-8") if ckpt is not None and ckpt.exists() else ""
@@ -314,7 +354,7 @@ def search_antagonistic(
         for line in lines[1:]:
             try:
                 obj = json.loads(line)
-                node = _replay(tuple(obj["S"]), tuple(obj["T"]), k, m, bits)
+                node = _replay(tuple(obj["S"]), tuple(obj["T"]), k, m, tables)
             except (ValueError, KeyError, TypeError):  # not an {"S": [...], "T": [...]} object
                 node = None
             if node is None:
@@ -322,7 +362,7 @@ def search_antagonistic(
             stack.append(node)
         stack.reverse()  # file lists frontier top-first
     else:
-        stack = [_replay((0,), (), k, m, bits)]
+        stack = [_replay((0,), (), k, m, tables)]
 
     found: dict[tuple[tuple[int, ...], tuple[int, ...]], CyclicGeneratorPair] = {}
     nodes = 0
@@ -343,9 +383,9 @@ def search_antagonistic(
                     stopped = True
                     break
             continue
-        stack.extend(reversed(_extensions(node, k, m, bits)))
+        stack.extend(reversed(_extensions(node, k, m, tables)))
 
-    frontier = [(s, t) for s, t, _, _ in reversed(stack)]
+    frontier = [node[:2] for node in reversed(stack)]
     if ckpt is not None:
         lines = [json.dumps({"S": list(s), "T": list(t)}) for s, t in frontier]
         if lines:

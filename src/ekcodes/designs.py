@@ -25,7 +25,7 @@ import numpy as np
 
 from ._greedy_fast import _CHUNK, _lex_columns, _permuted_chunks, _rows, claim_greedy
 from .core import Code, ParameterError, _json_int, _parse_float
-from .cyclic import _distance_bits, _extensions, _replay
+from .cyclic import _extensions, _replay, _residue_tables
 
 _VERIFY_T_SUBSET_CAP = 5_000_000
 _GREEDY_BLOCK_CAP = 2_000_000
@@ -178,18 +178,20 @@ def planar_difference_set(q: int) -> tuple[int, ...] | None:
     this walks the S phase of the antagonistic tree with k = q+1 from
     S = {0, 1} (any solution translates to contain a difference 1).
     Returns None when the tree exhausts, as for orders with no plane.
+    q is read as an integer, so a float or a string raises TypeError.
     """
+    q = operator.index(q)
     if q < 2:
         raise ParameterError(f"need q >= 2, got {q}")
     m = q * q + q + 1
     size = q + 1
-    bits = _distance_bits(m)
-    stack = [_replay((0, 1), (), size, m, bits)]
+    tables = _residue_tables(m)
+    stack = [_replay((0, 1), (), size, m, tables)]
     while stack:
         node = stack.pop()
         if len(node[0]) == size:
             return node[0]
-        stack.extend(reversed(_extensions(node, size, m, bits)))
+        stack.extend(reversed(_extensions(node, size, m, tables)))
     return None
 
 

@@ -530,3 +530,65 @@ def test_every_search_leaf_gets_its_full_orbit_form(monkeypatch, k, m, budget):
     assert len(leaves) >= len(result.pairs)
     for pair, form in leaves:
         assert form == _full_orbit_canonical_form(pair), pair
+
+
+def _rebuilt_masks(s, t, k, m):
+    """Oracle: a node's within, cross and barred masks, re-derived from (S, T).
+
+    within and cross hold the residues d and -d of each used distance d (and
+    m/2 at even m), doubled to 2m bits; barred holds each residue e with
+    2e = a + b for a pair a, b of S or of T, and S itself once S is full.
+    """
+    def doubled(dists):
+        mask = 0
+        for d in dists:
+            mask |= 1 << d % m | 1 << -d % m
+        return mask | mask << m
+
+    seed = [m // 2] if m % 2 == 0 else []
+    pairs = [(a, b) for group in (s, t) for i, a in enumerate(group) for b in group[i + 1 :]]
+    within = doubled(seed + [circular_distance(a, b, m) for a, b in pairs])
+    cross = doubled(seed + [circular_distance(a, b, m) for a in s for b in t])
+    barred = 0
+    for e in range(m):
+        if any(2 * e % m == (a + b) % m for a, b in pairs) or (len(s) == k and e in s):
+            barred |= 1 << e
+    return within, cross, barred
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_random_walks_match_rebuilding_oracle(k):
+    # seeded walks from the root to a leaf or a dead end: every visited node's
+    # children equal the oracle's, and _replay of its (S, T) returns the node
+    rng = random.Random(29 + k)
+    for m in range(2 * k, 62):
+        tables = cyclic._residue_tables(m)
+        for _ in range(6):
+            node = cyclic._replay((0,), (), k, m, tables)
+            while True:
+                s, t = node[:2]
+                assert node[2:] == _rebuilt_masks(s, t, k, m), (k, m, s, t)
+                assert cyclic._replay(s, t, k, m, tables) == node, (k, m, s, t)
+                if len(t) == k:
+                    break
+                children = cyclic._extensions(node, k, m, tables)
+                assert [c[:2] for c in children] == _rebuilt_extensions((s, t), k, m), (k, m, s, t)
+                if not children:
+                    break
+                node = rng.choice(children)
+
+
+@pytest.mark.parametrize("k, m", [(2.5, 19), ("3", 19), (3, 19.0), (3, "19")])
+def test_search_parameters_must_be_integers(monkeypatch, k, m):
+    # a float once walked the k = 2 tree and claimed a false exhaustion
+    monkeypatch.setattr(cyclic, "_residue_tables", lambda m: pytest.fail("a node ran"))
+    with pytest.raises(TypeError):
+        search_antagonistic(k, m)
+
+
+def test_search_reads_a_bool_as_an_integer():
+    assert _tree(search_antagonistic(True, 3)) == _tree(search_antagonistic(1, 3))
+    with pytest.raises(ParameterError, match="need k >= 1"):
+        search_antagonistic(False, 3)
+    with pytest.raises(ParameterError, match="exceeds m = 1"):
+        search_antagonistic(1, True)

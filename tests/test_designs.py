@@ -24,6 +24,7 @@ from ekcodes import (
     verify_design,
     zero_sum_quadruples,
 )
+from ekcodes import designs
 from ekcodes._greedy_fast import _permuted_chunks
 from ekcodes.cyclic import CyclicGeneratorPair
 
@@ -260,3 +261,17 @@ def test_design_json_round_trip():
 def test_design_json_round_trip_is_equal(build):
     design = build()
     assert design_from_json(design_to_json(design)) == design
+
+
+@pytest.mark.parametrize("q", [2.5, "3", 3.0])
+def test_planar_difference_set_order_must_be_an_integer(monkeypatch, q):
+    monkeypatch.setattr(designs, "_residue_tables", lambda m: pytest.fail("a node ran"))
+    with pytest.raises(TypeError):
+        planar_difference_set(q)
+
+
+def test_planar_difference_set_reads_a_bool_as_an_integer():
+    with pytest.raises(ParameterError, match="need q >= 2, got 1"):
+        planar_difference_set(True)
+    with pytest.raises(ParameterError, match="need q >= 2, got 0"):
+        planar_difference_set(False)
