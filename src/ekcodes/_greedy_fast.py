@@ -5,7 +5,8 @@ _permuted_chunks.  Pairs stream all ordered (A, B) index pairs and drop
 the copy with min(A) > min(B), which leaves each unordered word once;
 the drop is decided from the two rank indices alone, so only the kept
 half is gathered and lifted.  s-tuples (s != 2) and q-ary words permute
-their universe's incidence rows.  greedy_by_distance keeps the first
+their universe's incidence rows; those rows and the pairs' unrank tables
+come from core._universe_rows.  greedy_by_distance keeps the first
 live row of the stream and strikes, in one numpy pass (far_rows, which
 also builds search's key-heavy graphs), every later row closer than d to
 it, through metric._best_shares, the matching test of verify_code's
@@ -23,18 +24,18 @@ _CHUNK domain positions while the caller screens the current one.  The
 pair stream unranks, lifts and keys each chunk in slices of _SLICE
 indices, so besides the permutation only one slice's temporaries are
 alive.  The permutation is deterministic in the seed, and no output
-depends on the chunk or slice sizes.
+depends on _CHUNK or _SLICE, which the stream reads at call time.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
-from .core import ParameterError, word_count
+from .core import ParameterError, _universe_rows, word_count
 from .metric import _best_shares, witness_splits
 
 SHUFFLE_CAP = 1 << 22
@@ -143,16 +144,6 @@ def _permuted_chunks(m: int, seed: int, chunk: int):
             del vals  # hold no chunk while waiting for the next
 
 
-def _lex_columns(n: int, k: int) -> list[np.ndarray]:
-    """Element columns of every k-subset of [0, n), in lex (rank) order.
-
-    Unranking a stream index is then one gather per column.
-    """
-    flat = chain.from_iterable(combinations(range(n), k))
-    table = np.fromiter(flat, dtype=np.int64, count=math.comb(n, k) * k).reshape(-1, k)
-    return [np.ascontiguousarray(col) for col in table.T]
-
-
 class _KeyBuilder:
     """Turns part element columns into witness key columns."""
 
@@ -197,7 +188,7 @@ class _KeyBuilder:
         return keys
 
 
-def _stream_words(n: int, k: int, seed: int, chunk: int = _CHUNK):
+def _stream_words(n: int, k: int, seed: int):
     """Yield the seeded word stream as (a_cols, b_cols) element columns.
 
     Index i of the stream is the ordered pair (A, B) with A of lex rank
@@ -206,11 +197,11 @@ def _stream_words(n: int, k: int, seed: int, chunk: int = _CHUNK):
     The mirrored copy, min(A) > min(B), is dropped before any gather:
     the complement of A has exactly min(A) elements below min(A), so the
     lifted B starts above min(A) iff B's own first element is >= min(A).
-    Each permutation chunk is walked in slices of _SLICE (read at call
-    time) indices, and each slice with a kept word is yielded on its own,
-    so the unrank, gather and lift temporaries and the caller's keys are
-    sized by the slice.  The order depends on the seed alone, not on
-    `chunk` or _SLICE.
+    Each permutation chunk of _CHUNK indices is walked in slices of _SLICE
+    indices (both read at call time), and each slice with a kept word is
+    yielded on its own, so the unrank, gather and lift temporaries and the
+    caller's keys are sized by the slice.  The order depends on the seed
+    alone, not on _CHUNK or _SLICE.
     """
     if 2 * k > n:
         return
@@ -218,9 +209,9 @@ def _stream_words(n: int, k: int, seed: int, chunk: int = _CHUNK):
     m = math.comb(n, k) * n_second
     if m > STREAM_CAP:
         raise ParameterError(f"stream of {m} ordered words exceeds the cap {STREAM_CAP}")
-    lex_a = _lex_columns(n, k)
-    lex_b = _lex_columns(n - k, k)
-    for ids in _permuted_chunks(m, seed, chunk):
+    lex_a = [col.astype(np.int64) for col in _universe_rows(n, k, 1, 0).T]
+    lex_b = [col.astype(np.int64) for col in _universe_rows(n - k, k, 1, 0).T]
+    for ids in _permuted_chunks(m, seed, _CHUNK):
         for lo in range(0, ids.size, _SLICE):
             part = ids[lo : lo + _SLICE]
             # a Python-int divisor keeps int32 ids in int32, where floor division is cheapest
@@ -271,12 +262,12 @@ def claim_greedy(keys: list[np.ndarray], claimed: np.ndarray) -> list[int]:
     return hits
 
 
-def greedy_pairs(n: int, k: int, d: int, seed: int, chunk: int = _CHUNK):
+def greedy_pairs(n: int, k: int, d: int, seed: int):
     """Witness-claim greedy over the stream; returns accepted (a_tuple, b_tuple) rows."""
     builder = _KeyBuilder(n, k, d)
     claimed = np.zeros(builder.total_space, dtype=bool)
     accepted: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for a_cols, b_cols in _stream_words(n, k, seed, chunk):
+    for a_cols, b_cols in _stream_words(n, k, seed):
         hits = claim_greedy(builder.build(a_cols, b_cols), claimed)
         accepted.extend(zip(_rows(a_cols, hits), _rows(b_cols, hits)))
     return accepted

@@ -18,8 +18,9 @@ word.  A code built from words derives its rows at once.  Words come
 from rows in one place, `_row_words`, and only through the checked
 constructors, so every word the package hands out (`code.words`, the
 public enumerators) has passed their checks, and a bad trusted row
-raises there.  `_universe_blocks` is the one enumerator of a universe's
-rows; the public enumerators build words from it one block at a time.
+raises there.  `_set_rows` is the one enumerator of k-subset rows:
+`_universe_rows` fills every engine's table from it in one pass, and the
+public enumerators build words from `_universe_blocks` one block at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, islice, product
 from operator import attrgetter, index, mul
 from pathlib import Path
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -267,6 +268,18 @@ def _int_rows(tuples: list[tuple[int, ...]], width: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(tuples), np.int32, len(tuples) * width).reshape(len(tuples), width)
 
 
+def _set_rows(k: int, parts: int, remaining: Sequence[int], prefix: tuple = ()) -> Iterator[tuple[int, ...]]:
+    """Set-world rows over `remaining` in lex order; parts go by their minima, the last straight from combinations."""
+    if parts == 1:
+        return map(prefix.__add__, combinations(remaining, k)) if prefix else combinations(remaining, k)
+    if len(remaining) < parts * k:
+        return iter(())
+    return chain.from_iterable(
+        _set_rows(k, parts - 1, [e for e in remaining if e > combo[0] and e not in combo], prefix + combo)
+        for combo in combinations(remaining, k)
+    )
+
+
 def _universe_blocks(n: int, k: int, s: int, q: int) -> Iterator[np.ndarray]:
     """A universe's incidence rows in lex order, about _ROW_BLOCK at a time; none if degenerate.
 
@@ -281,26 +294,17 @@ def _universe_blocks(n: int, k: int, s: int, q: int) -> Iterator[np.ndarray]:
             support = np.repeat(_int_rows(chunk, k), len(values), axis=0)
             yield np.concatenate([support, n + support * q + np.tile(values, (len(chunk), 1))], axis=1)
         return
-
-    def extend(prefix: tuple[int, ...], remaining: list[int]) -> Iterator[tuple[int, ...]]:
-        # parts are ordered by their minima: later parts use only elements above this one's first
-        if len(prefix) == s * k:
-            yield prefix
-            return
-        if len(remaining) < s * k - len(prefix):
-            return
-        for combo in combinations(remaining, k):
-            yield from extend(prefix + combo, [e for e in remaining if e > combo[0] and e not in combo])
-
-    rows = extend((), list(range(n)))
+    rows = _set_rows(k, s, range(n))
     while chunk := list(islice(rows, _ROW_BLOCK)):
         yield _int_rows(chunk, s * k)
 
 
 def _universe_rows(n: int, k: int, s: int, q: int) -> np.ndarray:
-    """All of _universe_blocks as one int32 table: the rows of enumerate_words or enumerate_qary_words."""
-    width = 2 * k if q else s * k
-    return np.concatenate([np.empty((0, width), dtype=np.int32), *_universe_blocks(n, k, s, q)])
+    """A universe's rows in lex order as one int32 table; set-world rows fill it in one pass."""
+    if q:
+        return np.concatenate([np.empty((0, 2 * k), dtype=np.int32), *_universe_blocks(n, k, s, q)])
+    count = word_count(n, k, s)
+    return np.fromiter(chain.from_iterable(_set_rows(k, s, range(n))), np.int32, count * s * k).reshape(count, s * k)
 
 
 def _row_symbols(rows: np.ndarray, n: int, k: int, s: int, q: int) -> np.ndarray:
@@ -337,8 +341,8 @@ def _sorted_rows(rows: np.ndarray, n: int, k: int, s: int, q: int) -> np.ndarray
 
 def word_count(n: int, k: int, s: int = 2) -> int:
     """Number of words: (1/s!) * prod_i C(n - i*k, k)."""
-    if k < 1 or s < 1:
-        raise ParameterError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
+    if n < 0 or k < 1 or s < 1:
+        raise ParameterError(f"need n >= 0, k >= 1 and s >= 1, got n={n}, k={k}, s={s}")
     if s * k > n:
         return 0
     total = math.prod(math.comb(n - i * k, k) for i in range(s))
@@ -351,7 +355,7 @@ def enumerate_words(n: int, k: int, s: int = 2) -> Iterator[STuple]:
     Degenerate parameters (s*k > n) yield an empty stream and emit a
     DegenerateParametersWarning.  Memory is O(_ROW_BLOCK) at any size.
     """
-    if not word_count(n, k, s):  # raises ParameterError unless k >= 1 and s >= 1
+    if not word_count(n, k, s):  # raises ParameterError unless n >= 0, k >= 1 and s >= 1
         message = f"no words exist for n={n}, k={k}, s={s} (s*k > n)"
         warnings.warn(message, DegenerateParametersWarning, stacklevel=2)
         return
@@ -428,15 +432,14 @@ class QaryPairWord:
 
 def qary_word_count(n: int, k: int, q: int) -> int:
     """Number of weight-k q-ary words: C(n, k) * (q-1)^k."""
-    if k < 0 or q < 2:
-        raise ParameterError(f"need k >= 0 and q >= 2, got k={k}, q={q}")
+    if n < 0 or k < 0 or q < 2:
+        raise ParameterError(f"need n >= 0, k >= 0 and q >= 2, got n={n}, k={k}, q={q}")
     return math.comb(n, k) * (q - 1) ** k
 
 
 def enumerate_qary_words(n: int, k: int, q: int) -> Iterator[QaryWord]:
     """Yield every weight-k q-ary word of length n, in lex order of (support, values)."""
-    if k < 0 or q < 2:
-        raise ParameterError(f"need k >= 0 and q >= 2, got k={k}, q={q}")
+    qary_word_count(n, k, q)  # raises ParameterError unless n >= 0, k >= 0 and q >= 2
     for rows in _universe_blocks(n, k, 1, q):
         yield from _row_words(rows, n, k, 1, q)
 
@@ -447,8 +450,8 @@ Word = STuple | QaryWord | QaryPairWord
 def _check_parameters(n: int, k: int, s: int, q: int, d: int) -> tuple[int, int, int, int, int]:
     """A code's parameter checks, shared by both constructors: (n, k, s, q, d) read as ints."""
     n, k, s, q, d = map(index, (n, k, s, q, d))
-    if k < 1 or s < 1 or d < 1:
-        raise ParameterError(f"need k, s, d >= 1, got k={k}, s={s}, d={d}")
+    if n < 0 or k < 1 or s < 1 or d < 1:
+        raise ParameterError(f"need n >= 0 and k, s, d >= 1, got n={n}, k={k}, s={s}, d={d}")
     if q == 1 or q < 0:
         raise ParameterError(f"q must be 0 (set world) or >= 2, got q={q}")
     if q and s > 2:

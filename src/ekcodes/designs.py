@@ -23,8 +23,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ._greedy_fast import _CHUNK, _lex_columns, _permuted_chunks, _rows, claim_greedy
-from .core import Code, ParameterError, _json_int, _parse_float
+from ._greedy_fast import _CHUNK, SPACE_CAP, STREAM_CAP, _permuted_chunks, claim_greedy
+from .core import Code, ParameterError, _json_int, _parse_float, _universe_rows
 from .cyclic import _extensions, _replay, _residue_tables
 
 _VERIFY_T_SUBSET_CAP = 5_000_000
@@ -108,7 +108,7 @@ def verify_design(design: BlockDesign) -> DesignVerification:
     for size, indices in by_size.items():
         if size < t:
             continue
-        combos = np.array(list(combinations(range(size), t)), dtype=np.intp)
+        combos = _universe_rows(size, t, 1, 0)
         subsets = np.array([blocks[i] for i in indices], dtype=np.intp)[:, combos]
         positions = np.array([starts[i] for i in indices])[:, None] + np.arange(len(combos))
         ranks[positions] = _colex_ranks(subsets, v)
@@ -196,7 +196,9 @@ def planar_difference_set(q: int) -> tuple[int, ...] | None:
 
 
 def develop_difference_set(base: tuple[int, ...] | list[int], m: int) -> BlockDesign:
-    """All m translates of a residue set mod m, as strength-2 blocks."""
+    """All m translates of a residue set mod m, as strength-2 blocks; m >= 1 is read as an integer."""
+    if (m := operator.index(m)) < 1:
+        raise ParameterError(f"need modulus m >= 1, got m={m}")
     pts = [operator.index(x) % m for x in base]
     if len(set(pts)) != len(pts):
         raise ParameterError(f"base set {base} collides mod {m}")
@@ -207,22 +209,24 @@ def develop_difference_set(base: tuple[int, ...] | list[int], m: int) -> BlockDe
 def greedy_packing(v: int, p: int, t: int, seed: int) -> BlockDesign:
     """Seeded greedy (v, p, t)-packing over the p-subsets' lex ranks in _permuted_chunks order.
 
-    A block is kept iff none of its t-subsets (claimed as colex ranks) is
+    Blocks and their t-subset positions are rows of core._universe_rows.  A
+    block is kept iff none of its t-subsets (claimed as colex ranks) is
     covered yet.  Chunks hold at most _CHUNK keys; the order ignores chunking.
     """
     if not v >= p >= t >= 1 or seed < 0:
         raise ParameterError(f"need v >= p >= t >= 1 and seed >= 0, got ({v},{p},{t}), seed {seed}")
     if math.comb(v, p) > _GREEDY_BLOCK_CAP:
         raise ParameterError(f"C({v},{p}) exceeds the greedy candidate cap {_GREEDY_BLOCK_CAP}")
-    lex = _lex_columns(v, p)
-    combos = list(combinations(range(p), t))
+    if math.comb(v, t) > SPACE_CAP or math.comb(v, p) * math.comb(p, t) > STREAM_CAP:
+        raise ParameterError(f"C({v},{t}) claims or C({v},{p}) * C({p},{t}) keys above cap {SPACE_CAP} or {STREAM_CAP}")
+    table = _universe_rows(v, p, 1, 0)
+    combos = _universe_rows(p, t, 1, 0)
     claimed = np.zeros(math.comb(v, t), dtype=bool)
-    blocks: list[tuple[int, ...]] = []
-    for ids in _permuted_chunks(math.comb(v, p), seed, max(1, _CHUNK // len(combos))):
-        cols = [col[ids] for col in lex]
-        rows = np.stack(cols, axis=-1)
+    blocks: list[list[int]] = []
+    for ids in _permuted_chunks(len(table), seed, max(1, _CHUNK // len(combos))):
+        rows = table[ids]
         hits = claim_greedy([_colex_ranks(rows[:, combo], v) for combo in combos], claimed)
-        blocks.extend(_rows(cols, hits))
+        blocks.extend(rows[hits].tolist())
     return BlockDesign(v=v, t=t, blocks=tuple(blocks))
 
 

@@ -307,6 +307,24 @@ def test_negative_budgets_exit_invalid(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (("greedy", "--n", "-1", "--k", "2", "--d", "3"), "n=-1"),
+        (("greedy", "--n", "-1", "--k", "2", "--d", "3", "--s", "3"), "n=-1"),
+        (("greedy", "--n", "-1", "--k", "2", "--d", "3", "--q", "3"), "n=-1"),
+        (("design", "develop", "--m", "0", "--set", "1,2"), "m=0"),
+        (("design", "develop", "--m", "-7", "--set", "1,2"), "m=-7"),
+    ],
+    ids=["greedy pairs n=-1", "greedy s=3 n=-1", "greedy q=3 n=-1", "develop m=0", "develop m=-7"],
+)
+def test_out_of_domain_sizes_exit_invalid(capsys, argv, fragment):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("limit", ["0", "-1"])
 def test_antagonistic_search_refuses_an_empty_limit(capsys, limit):
     code, out, err = run(capsys, "antagonistic", "search", "--k", "3", "--m", "19", "--limit", limit)

@@ -362,6 +362,12 @@ _BAD_CONSTRUCTIONS = [
     ("canonicalize no parts", lambda: canonicalize([], 5), ParameterError, "at least one part"),
     ("canonicalize empty part", lambda: canonicalize([()], 5), PartSizeError, "k >= 1"),
     ("canonicalize n < 0", lambda: canonicalize([(0, 1)], -1), ParameterError, "n=-1"),
+    ("Code n < 0", lambda: Code(-1, 1, 1, 0, 1, []), ParameterError, "n=-1"),
+    ("Code._from_rows n < 0", lambda: Code._from_rows(-3, 1, 1, 0, 1, np.empty((0, 1), np.int32)), ParameterError, "n=-3"),
+    ("word_count n < 0", lambda: word_count(-1, 2, 2), ParameterError, "n=-1"),
+    ("qary_word_count n < 0", lambda: qary_word_count(-1, 2, 3), ParameterError, "n=-1"),
+    ("enumerate_words n < 0", lambda: list(enumerate_words(-1, 2, 2)), ParameterError, "n=-1"),
+    ("enumerate_qary_words n < 0", lambda: list(enumerate_qary_words(-1, 0, 2)), ParameterError, "n=-1"),
     ("STuple mixed n", lambda: STuple((KSubset(5, (0, 1)), KSubset(6, (2, 3)))), ParameterError, "6 != 5"),
     ("STuple wrong k", lambda: STuple((KSubset(5, (0, 1)), KSubset(5, (2,)))), PartSizeError, "(2,)"),
     ("STuple overlap", lambda: STuple((KSubset(5, (0, 1)), KSubset(5, (1, 2)))), OverlapError, "element 1"),

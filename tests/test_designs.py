@@ -14,6 +14,7 @@ from ekcodes import (
     design_to_json,
     develop_difference_set,
     enumerate_words,
+    greedy_code,
     greedy_packing,
     known_value,
     orbit_code,
@@ -128,6 +129,12 @@ def test_develop_difference_set_singletons():
     assert verify_design(design).label == "packing"
 
 
+@pytest.mark.parametrize("m", [0, -7])
+def test_develop_difference_set_refuses_a_modulus_below_one(m):
+    with pytest.raises(ParameterError, match=f"m={m}"):
+        develop_difference_set((1, 2), m)
+
+
 def test_greedy_packing_basic():
     for seed in (0, 1, 7):
         packing = greedy_packing(9, 3, 2, seed)
@@ -167,6 +174,23 @@ def test_greedy_packing_matches_per_block_oracle(v, p, t):
         packing = greedy_packing(v, p, t, seed)
         assert packing.blocks == _greedy_packing_oracle(v, p, t, seed), seed
         assert verify_design(packing).label in ("packing", "design")
+
+
+@pytest.mark.parametrize(
+    "v,p,t", [(7, 3, 2), (9, 3, 2), (10, 4, 3), (12, 4, 2), (13, 3, 2), (14, 6, 4), (11, 5, 5), (8, 1, 1), (9, 4, 1)]
+)
+def test_greedy_packing_is_the_distance_greedy_at_one_part(v, p, t):
+    """Claiming t-subsets keeps the blocks that the s = 1 distance rule keeps, d = p - t + 1, over one stream."""
+    for seed in (0, 7, 2**40):
+        code = greedy_code(v, p, p - t + 1, seed, s=1)
+        assert greedy_packing(v, p, t, seed).blocks == tuple(map(tuple, code.rows.tolist())), seed
+
+
+@pytest.mark.parametrize("v,p,t", [(30, 28, 14), (24, 20, 10)])
+def test_greedy_packing_refuses_oversized_claims(v, p, t):
+    # (30, 28, 14) has C(30, 14) t-subsets to claim, (24, 20, 10) C(24, 20) * C(20, 10) keys
+    with pytest.raises(ParameterError, match="cap"):
+        greedy_packing(v, p, t, 0)
 
 
 def test_greedy_packing_refuses_negative_seed():

@@ -63,8 +63,8 @@ def _stream_oracle(n, k, seed, chunk):
     """
     n_second = math.comb(n - k, k)
     m = math.comb(n, k) * n_second
-    lex_a = _greedy_fast._lex_columns(n, k)
-    lex_b = _greedy_fast._lex_columns(n - k, k)
+    lex_a = [col.astype(np.int64) for col in core._universe_rows(n, k, 1, 0).T]
+    lex_b = [col.astype(np.int64) for col in core._universe_rows(n - k, k, 1, 0).T]
     chunks, empty = [], 0
     for ids in _greedy_fast._permuted_chunks(m, seed, chunk):
         idx_a, idx_b = np.divmod(ids.astype(np.int64), np.int64(n_second))
@@ -94,9 +94,10 @@ def _stream_cases():
 def test_stream_matches_unrank_lift_keep_oracle(monkeypatch, n, k, chunk, cap):
     # cap 8 forces the Feistel branch, since _permuted_chunks reads SHUFFLE_CAP at call time
     monkeypatch.setattr(_greedy_fast, "SHUFFLE_CAP", cap)
+    monkeypatch.setattr(_greedy_fast, "_CHUNK", chunk)  # read at call time, as SHUFFLE_CAP is
     seed = 100 * n + k
     expected, empty = _stream_oracle(n, k, seed, chunk)
-    got = list(_greedy_fast._stream_words(n, k, seed, chunk))
+    got = list(_greedy_fast._stream_words(n, k, seed))
     assert len(got) == len(expected)
     for (a_cols, b_cols), (a_ref, b_ref) in zip(got, expected):
         for col, ref in zip(a_cols + b_cols, a_ref + b_ref):
@@ -121,8 +122,9 @@ def test_sliced_stream_matches_unrank_lift_keep_oracle(monkeypatch, n, k, cap, s
     monkeypatch.setattr(_greedy_fast, "_SLICE", size)  # the oracle walks whole chunks
     seed = 10 * n + k
     for chunk in (1000, _greedy_fast._CHUNK):
+        monkeypatch.setattr(_greedy_fast, "_CHUNK", chunk)
         expected, _ = _stream_oracle(n, k, seed, chunk)
-        got = list(_greedy_fast._stream_words(n, k, seed, chunk))
+        got = list(_greedy_fast._stream_words(n, k, seed))
         assert all(0 < len(a[0]) <= size for a, _ in got)  # no empty slice is yielded
         for col, ref in zip(_concatenated(got), _concatenated(expected), strict=True):
             assert col.dtype == ref.dtype
@@ -279,9 +281,10 @@ def _loop_keys(builder, a_cols, b_cols):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_key_builder_matches_per_plan_encoding(k):
+def test_key_builder_matches_per_plan_encoding(monkeypatch, k):
     n = 2 * k + 5
-    a_cols, b_cols = next(_greedy_fast._stream_words(n, k, 40 + k, 200))
+    monkeypatch.setattr(_greedy_fast, "_CHUNK", 200)
+    a_cols, b_cols = next(_greedy_fast._stream_words(n, k, 40 + k))
     for d in range(1, 2 * k + 1):
         builder = _greedy_fast._KeyBuilder(n, k, d)
         got = builder.build(a_cols, b_cols)
@@ -295,7 +298,9 @@ def test_key_builder_matches_per_plan_encoding(k):
 def _universe_cases():
     for s in range(1, 6):
         for k in (1, 2, 3):
-            for n in range(max(0, s * k - 2), s * k + 3):
+            # wider n where the last part and the one-pass table carry many rows
+            wider = (20, 70) if s == 1 else (12,) if (s, k) == (2, 2) else ()
+            for n in (*range(max(0, s * k - 2), s * k + 3), *wider):
                 if word_count(n, k, s) <= 20_000:
                     yield n, k, s, 0
     for q in (2, 3, 4):

@@ -586,11 +586,14 @@ def test_greedy_by_distance_independent_of_chunk():
         assert greedy_code(n, k, d, seed, s=3).words == expected
 
 
-def test_greedy_pairs_independent_of_chunk():
+def test_greedy_pairs_independent_of_chunk(monkeypatch):
+    default = _greedy_fast._CHUNK
     for n, k, d, seed in ((12, 2, 3, 9), (9, 3, 4, 2), (9, 1, 2, 5)):
+        monkeypatch.setattr(_greedy_fast, "_CHUNK", default)
         rows = _greedy_fast.greedy_pairs(n, k, d, seed)
         for chunk in (1, 7, 300):
-            assert _greedy_fast.greedy_pairs(n, k, d, seed, chunk) == rows
+            monkeypatch.setattr(_greedy_fast, "_CHUNK", chunk)
+            assert _greedy_fast.greedy_pairs(n, k, d, seed) == rows
 
 
 def test_greedy_distance_route_when_keys_do_not_fit(monkeypatch):
@@ -646,6 +649,14 @@ def test_greedy_rejects_negative_seed():
     for kwargs in ({}, {"s": 3}, {"q": 3}):
         with pytest.raises(ParameterError, match="seed"):
             greedy_code(9, 2, 3, seed=-1, **kwargs)
+
+
+def test_greedy_rejects_negative_ground_set():
+    # at d = 2 the pairs' witness space n^(2k - d + 1) is negative, at d = 3 positive
+    for kwargs in ({}, {"mode": "distance"}, {"s": 3}, {"q": 3}):
+        for d in (2, 3):
+            with pytest.raises(ParameterError, match="n=-1"):
+                greedy_code(-1, 2, d, 0, **kwargs)
 
 
 def test_greedy_witness_mode_only_for_set_pairs():
