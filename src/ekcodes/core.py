@@ -29,6 +29,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, combinations, islice, product
 from operator import attrgetter, index, mul
 from pathlib import Path
@@ -323,18 +324,35 @@ def _row_words(rows: np.ndarray, n: int, k: int, s: int, q: int) -> list:
     return [m for m, in members] if s == 1 else [QaryPairWord(u, v) for u, v in members]
 
 
+@lru_cache(maxsize=64)
+def _pack_weights(width: int, bits: int) -> np.ndarray:
+    """Read-only (width, columns) int64 matrix packing width b-bit entries, first entry highest, 63 // b per column."""
+    per_column = 63 // bits
+    place = np.arange(width)
+    weights = np.zeros((width, -(-width // per_column)), dtype=np.int64)
+    weights[place, place // per_column] = np.left_shift(1, bits * (per_column - 1 - place % per_column))
+    weights.flags.writeable = False
+    return weights
+
+
 def _sorted_rows(rows: np.ndarray, n: int, k: int, s: int, q: int) -> np.ndarray:
     """Canonical rows in code_to_json's order, repeats dropped, as a read-only int32 table.
 
-    Set-world rows sort as they are; q-ary rows sort by their symbol vectors.
+    A row's key is the row itself (set world) or its symbol vectors (q-ary),
+    and equal keys mean equal rows.  Key entries are below n (set world)
+    or q, so each fits in b bits, and one matrix product packs each key
+    into as few int64 columns as it needs (_pack_weights).  Sorting the
+    packed columns sorts the keys lexicographically, and comparing them
+    drops repeats.
     """
     rows = np.asarray(rows, dtype=np.int32)
     keys = _row_symbols(rows, n, k, s, q).reshape(len(rows), s * n) if q else rows
-    order = np.lexsort(keys.T[::-1])
-    rows = rows[order]
-    first = np.ones(len(rows), dtype=bool)  # the first row of each run of equal rows
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    rows = rows[first]
+    packed = keys @ _pack_weights(keys.shape[1], max(1, ((q or n) - 1).bit_length()))
+    order = packed[:, 0].argsort() if packed.shape[1] == 1 else np.lexsort(packed.T[::-1])
+    packed = packed[order]
+    first = np.ones(len(rows), dtype=bool)  # the first row of each run of equal keys
+    first[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+    rows = rows.take(order[first], axis=0)
     rows.flags.writeable = False
     return rows
 

@@ -17,14 +17,16 @@ import operator
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from ._greedy_fast import _CHUNK, SPACE_CAP, STREAM_CAP, _permuted_chunks, claim_greedy
-from .core import Code, ParameterError, _json_int, _parse_float, _universe_rows
+from . import _greedy_fast
+from ._greedy_fast import SPACE_CAP, STREAM_CAP, _permuted_chunks, claim_greedy
+from .core import Code, ParameterError, _int_rows, _json_int, _parse_float, _universe_rows
 from .cyclic import _extensions, _replay, _residue_tables
 
 _VERIFY_T_SUBSET_CAP = 5_000_000
@@ -65,28 +67,47 @@ class DesignVerification:
     covered: int = 0
 
 
-def _colex_ranks(subsets: np.ndarray, v: int) -> np.ndarray:
-    """Colex ranks sum_i C(x_i, i + 1) of sorted t-subsets of [0, v), given as ints (..., t).
+@lru_cache(maxsize=8)
+def _colex_table(v: int, t: int) -> np.ndarray:
+    """Read-only (t, v) int64 table: row i holds C(x, i + 1) at x in [i, v - t + i], zero elsewhere.
 
-    Position i holds only x in [i, v - t + i], where every term is below C(v, t).
+    Row i + 1 is the prefix sum of row i (C(x, j + 1) = sum of C(y, j) over y < x),
+    so only entries below C(v, t) are ever summed.
     """
-    t = subsets.shape[-1]
-    table = np.zeros((v, t), dtype=np.int64)
+    table = np.zeros((t, v), dtype=np.int64)
+    row = np.arange(v, dtype=np.int64)
     for i in range(t):
-        table[i : v - t + i + 1, i] = [math.comb(x, i + 1) for x in range(i, v - t + i + 1)]
-    return table[subsets, np.arange(t)].sum(axis=-1)
+        row[v - t + i + 1 :] = 0
+        table[i] = row
+        row[1:] = np.cumsum(row[:-1])  # row[0] stays C(0, i + 2) = 0
+    table.flags.writeable = False
+    return table
+
+
+def _colex_ranks(rows: np.ndarray, combos: np.ndarray, v: int) -> np.ndarray:
+    """Colex ranks sum_i C(x_i, i + 1) of the sorted t-subsets rows[:, combos] of [0, v).
+
+    rows are sorted point rows and combos the (C(p, t), t) position table;
+    the result is (C(p, t), len(rows)), one row per position.  Each of the
+    t terms is one 1-D gather of the rows from the cached _colex_table(v, t),
+    then a gather of its combos column.
+    """
+    points = rows.T
+    return sum(row.take(points)[column] for row, column in zip(_colex_table(v, combos.shape[1]), combos.T))
 
 
 def verify_design(design: BlockDesign) -> DesignVerification:
     """Exhaustively count t-subset coverage and label the block family.
 
     Refuses point sets whose C(v, t) exceeds the desk-scale cap rather
-    than sampling.  Each t-subset of each block, taken in block order and
-    then in combinations order, becomes its colex rank (an int below
-    C(v, t)); one stable sort finds every repeat.  The certificate of an
-    invalid family is the t-subset whose second occurrence comes first,
-    with the number of distinct t-subsets seen before it.  A repeat must
-    occur among the first C(v, t) + 1 t-subsets, so no more are ranked.
+    than sampling.  Each t-subset of each block becomes its colex rank (an
+    int below C(v, t)) and marks a C(v, t)-byte bitmap; the family repeats
+    a t-subset iff fewer bits are set than ranks were marked.  Only then
+    are the ranks put in block order, then combinations order, and
+    stable-sorted for the certificate: the t-subset whose second
+    occurrence comes first, with the number of distinct t-subsets seen
+    before it.  A repeat must occur among the first C(v, t) + 1 t-subsets,
+    so no more are ranked.
     """
     v, t = design.v, design.t
     total = math.comb(v, t)
@@ -100,28 +121,32 @@ def verify_design(design: BlockDesign) -> DesignVerification:
         if starts[-1] > total:
             break
         starts.append(starts[-1] + math.comb(len(block), t))
-    used = len(starts) - 1
-    ranks = np.empty(starts[-1], dtype=np.int64)
     by_size: dict[int, list[int]] = {}
-    for index in range(used):
+    for index in range(len(starts) - 1):
         by_size.setdefault(len(blocks[index]), []).append(index)
-    for size, indices in by_size.items():
-        if size < t:
-            continue
-        combos = _universe_rows(size, t, 1, 0)
-        subsets = np.array([blocks[i] for i in indices], dtype=np.intp)[:, combos]
-        positions = np.array([starts[i] for i in indices])[:, None] + np.arange(len(combos))
-        ranks[positions] = _colex_ranks(subsets, v)
-    order = np.argsort(ranks, kind="stable")
-    ordered = ranks[order]
-    repeats = order[1:][ordered[1:] == ordered[:-1]]
-    if repeats.size:
-        first = int(repeats.min())
-        index = bisect_right(starts, first) - 1
-        sub = next(islice(combinations(blocks[index], t), first - starts[index], None))
-        return DesignVerification("invalid", violation=sub, covered=first)
-    label = "design" if len(ranks) == total else "packing"
-    return DesignVerification(label, covered=len(ranks))
+    groups = [(size, indices) for size, indices in by_size.items() if size >= t]
+    ranks = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [
+            _colex_ranks(_int_rows([blocks[i] for i in indices], size), _universe_rows(size, t, 1, 0), v).ravel()
+            for size, indices in groups
+        ]
+    )
+    seen = np.zeros(total, dtype=bool)
+    seen[ranks] = True
+    if np.count_nonzero(seen) == len(ranks):
+        return DesignVerification("design" if len(ranks) == total else "packing", covered=len(ranks))
+    positions = np.concatenate(
+        [(np.arange(math.comb(size, t))[:, None] + [starts[i] for i in indices]).ravel() for size, indices in groups]
+    )
+    in_order = np.empty_like(ranks)
+    in_order[positions] = ranks
+    order = np.argsort(in_order, kind="stable")
+    ordered = in_order[order]
+    first = int(order[1:][ordered[1:] == ordered[:-1]].min())
+    index = bisect_right(starts, first) - 1
+    sub = next(islice(combinations(blocks[index], t), first - starts[index], None))
+    return DesignVerification("invalid", violation=sub, covered=first)
 
 
 def _is_prime(p: int) -> bool:
@@ -211,7 +236,9 @@ def greedy_packing(v: int, p: int, t: int, seed: int) -> BlockDesign:
 
     Blocks and their t-subset positions are rows of core._universe_rows.  A
     block is kept iff none of its t-subsets (claimed as colex ranks) is
-    covered yet.  Chunks hold at most _CHUNK keys; the order ignores chunking.
+    covered yet.  Chunks hold at most _greedy_fast._CHUNK keys (read at call
+    time), and each chunk's C(p, t) positions are ranked in one call; the
+    order ignores chunking.
     """
     if not v >= p >= t >= 1 or seed < 0:
         raise ParameterError(f"need v >= p >= t >= 1 and seed >= 0, got ({v},{p},{t}), seed {seed}")
@@ -223,9 +250,9 @@ def greedy_packing(v: int, p: int, t: int, seed: int) -> BlockDesign:
     combos = _universe_rows(p, t, 1, 0)
     claimed = np.zeros(math.comb(v, t), dtype=bool)
     blocks: list[list[int]] = []
-    for ids in _permuted_chunks(len(table), seed, max(1, _CHUNK // len(combos))):
+    for ids in _permuted_chunks(len(table), seed, max(1, _greedy_fast._CHUNK // len(combos))):
         rows = table[ids]
-        hits = claim_greedy([_colex_ranks(rows[:, combo], v) for combo in combos], claimed)
+        hits = claim_greedy(list(_colex_ranks(rows, combos, v)), claimed)
         blocks.extend(rows[hits].tolist())
     return BlockDesign(v=v, t=t, blocks=tuple(blocks))
 

@@ -10,6 +10,7 @@ same hash, masks and key, hold only Python ints, and serialize to the
 same bytes.
 """
 
+import math
 import random
 import warnings
 from itertools import combinations
@@ -299,7 +300,7 @@ def _verify_design_oracle(design):
             if sub in seen:
                 return DesignVerification("invalid", violation=sub, covered=len(seen))
             seen.add(sub)
-    total = len(list(combinations(range(design.v), design.t)))
+    total = math.comb(design.v, design.t)
     return DesignVerification("design" if len(seen) == total else "packing", covered=len(seen))
 
 
@@ -320,8 +321,29 @@ def test_verify_design_matches_oracle_on_known_families():
         assert verify_design(design) == _verify_design_oracle(design)
 
 
+def _edge_families(rng, t):
+    """Families at strength t: mixed block sizes (some below t), a sparse packing on a
+    large v, that packing with a repeat in its first and in its last block, and a
+    repeat just past the C(v, t) pigeonhole."""
+    v = rng.randint(t + 2, 12)
+    yield _random_packing(rng, v, t, list(range(0, min(v, t + 3) + 1)), tries=40)
+    large = rng.randint(*{1: (1000, 5000), 2: (300, 2000), 3: (60, 200), 4: (25, 60)}[t])
+    blocks = _random_packing(rng, large, t, [t - 1, t, t + 1, t + 4], tries=40).blocks
+    yield BlockDesign(large, t, blocks)
+    first, *_, last = [block for block in blocks if len(block) >= t]
+    yield BlockDesign(large, t, blocks + (first,))  # the first block with t-subsets, twice
+    yield BlockDesign(large, t, blocks + (last,))  # the last block, twice
+    shared = first[-t:] + tuple(range(first[-1] + 1, min(first[-1] + 3, large)))
+    yield BlockDesign(large, t, blocks + (shared,))  # shares the first block's top t-subset
+    complete = tuple(combinations(range(v), t))
+    yield BlockDesign(v, t, complete)
+    yield BlockDesign(v, t, complete + complete[-1:])  # the repeat is t-subset number C(v, t)
+    yield BlockDesign(v, t, complete[:-1] + (complete[0],) + complete[-1:])  # C(v, t) + 1, the repeat second
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_verify_design_matches_oracle_on_random_families(seed):
+    """A random family, then the edge families at t = seed % 4 + 1."""
     rng = random.Random(seed)
     v = rng.randint(1, 16)
     t = rng.randint(1, min(4, v))
@@ -332,6 +354,8 @@ def test_verify_design_matches_oracle_on_random_families(seed):
         blocks = tuple(tuple(rng.sample(range(v), rng.choice(sizes))) for _ in range(rng.randint(0, 12)))
         design = BlockDesign(v, t, blocks)
     assert verify_design(design) == _verify_design_oracle(design)
+    for family in _edge_families(rng, seed % 4 + 1):
+        assert verify_design(family) == _verify_design_oracle(family), family.blocks[:3]
 
 
 def test_verify_design_stops_ranking_at_the_pigeonhole():

@@ -301,6 +301,50 @@ def test_row_and_word_constructors_agree():
             assert back == trusted and code_to_json(back) == text, case
 
 
+def _sorted_rows_oracle(rows, n, k, s, q):
+    """The lexsort over every key column that core._sorted_rows replaced."""
+    rows = np.asarray(rows, dtype=np.int32)
+    keys = core._row_symbols(rows, n, k, s, q).reshape(len(rows), s * n) if q else rows
+    rows = rows[np.lexsort(keys.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[first]
+
+
+def _top_word(n, k, s, q):
+    """A word on the last s*k points whose entries reach the top of the key range (n - 1, or q - 1)."""
+    parts = [range(n - (j + 1) * k, n - j * k) for j in range(s)]
+    if q == 0:
+        return canonicalize(parts, n)
+    members = [QaryWord(n, q, tuple(q - 1 if i in part else 0 for i in range(n))) for part in parts]
+    return members[0] if s == 1 else QaryPairWord(*members)
+
+
+@pytest.mark.parametrize(
+    "n, k, s, q",
+    [
+        (9, 2, 1, 0), (9, 2, 2, 0), (13, 2, 3, 0), (17, 2, 4, 0),
+        (2, 1, 1, 0), (16, 3, 2, 0), (17, 3, 2, 0), (32, 3, 2, 0), (33, 3, 2, 0),
+        (9, 3, 1, 3), (8, 2, 1, 2), (10, 3, 1, 4), (10, 3, 1, 5), (12, 3, 1, 9), (12, 3, 1, 8),
+        (9, 2, 2, 3), (12, 3, 2, 4),
+        # two or more packed columns: 16 entries of 6, 7, 10 or 11 bits; 64 to 80 q-ary symbols
+        (64, 8, 2, 0), (65, 8, 2, 0), (1024, 4, 4, 0), (1025, 4, 4, 0),
+        (63, 3, 1, 2), (64, 3, 1, 2), (70, 4, 1, 3), (32, 2, 2, 2), (40, 3, 2, 5),
+    ],
+)
+def test_sorted_rows_matches_lexsort_oracle(n, k, s, q):
+    """Set-world and q-ary tables, empty and repeated ones included, sort and drop repeats as a full lexsort does."""
+    draws = random.Random(f"{n}-{k}-{s}-{q}")
+    rng = np.random.default_rng(n * 1000 + k * 100 + s * 10 + q)
+    words = [_top_word(n, k, s, q), *_random_words(draws, n, k, s, q, 60)]
+    rows = core._incidence_rows(words, n, k, s, q)
+    tables = [rows[:0], rows, rows[rng.integers(0, len(rows), size=3 * len(rows))], np.repeat(rows[-1:], 5, axis=0)]
+    for table in tables:
+        got = core._sorted_rows(table, n, k, s, q)
+        assert got.dtype == np.int32 and not got.flags.writeable
+        np.testing.assert_array_equal(got, _sorted_rows_oracle(table, n, k, s, q))
+
+
 def test_code_rejects_mismatched_words():
     words = frozenset(enumerate_words(6, 2, 2))
     with pytest.raises(ParameterError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from itertools import combinations
@@ -25,7 +26,7 @@ from ekcodes import (
     verify_design,
     zero_sum_quadruples,
 )
-from ekcodes import designs
+from ekcodes import _greedy_fast, designs
 from ekcodes._greedy_fast import _permuted_chunks
 from ekcodes.cyclic import CyclicGeneratorPair
 
@@ -184,6 +185,39 @@ def test_greedy_packing_is_the_distance_greedy_at_one_part(v, p, t):
     for seed in (0, 7, 2**40):
         code = greedy_code(v, p, p - t + 1, seed, s=1)
         assert greedy_packing(v, p, t, seed).blocks == tuple(map(tuple, code.rows.tolist())), seed
+
+
+@pytest.mark.parametrize(
+    "v,p,t,seed,digest",
+    [
+        (30, 5, 2, 0, "81598131022457d0cddef22c1dbe638802ce5cdebf053425249dce14e1a1fb6b"),
+        (30, 5, 2, 2**40, "87136bf98fb2f8dedf45ca9e12d518517da6281bdf8866ad69a54a7d90193fb3"),
+        (40, 4, 2, 0, "f32487211f7a0a55b3820d541c1c831d3cd9fb56b2bc3a496e3ac6ec370e5f90"),
+        (40, 4, 2, 2**40, "37eef660f7e3b7ede581d3c163145c43ba757ca2f44f0ad6013fae5485babc9a"),
+        (25, 5, 3, 0, "cb9dc09bcf180fd64ca372fc6b880e6792462d7aa1218370acd8c0478ae6f6e9"),
+        (25, 5, 3, 2**40, "4ec7c630bb768294abf639e2ee7709225a69165a4356492c0f359a80a9aa291e"),
+        (20, 4, 3, 0, "7fbea492c0ed50ac69449bd65edb1ab2ff4b9ba852816eea7b12b25eb81b2d46"),
+        (20, 4, 3, 2**40, "3636e20c298f8c9ecf04acbf83653b065be3ca2eeb57bb23d676b5d7fe2b8e09"),
+    ],
+    ids=lambda value: str(value) if isinstance(value, int) else "sha256",
+)
+def test_greedy_packing_json_is_pinned(v, p, t, seed, digest):
+    text = design_to_json(greedy_packing(v, p, t, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_greedy_packing_reads_the_chunk_at_call_time(monkeypatch):
+    """A patched _greedy_fast._CHUNK reaches greedy_packing's chunks and leaves its JSON unchanged."""
+    chunks = []
+    real = designs._permuted_chunks
+    monkeypatch.setattr(designs, "_permuted_chunks", lambda m, seed, chunk: chunks.append(chunk) or real(m, seed, chunk))
+    for v, p, t, seed, chunk in ((12, 4, 2, 3, 7), (13, 2, 1, 0, 7), (30, 5, 2, 1, 6000)):
+        monkeypatch.setattr(_greedy_fast, "_CHUNK", 1 << 20)
+        expected = design_to_json(greedy_packing(v, p, t, seed))
+        monkeypatch.setattr(_greedy_fast, "_CHUNK", chunk)
+        chunks.clear()
+        assert design_to_json(greedy_packing(v, p, t, seed)) == expected, (v, p, t, chunk)
+        assert chunks == [max(1, chunk // math.comb(p, t))]
 
 
 @pytest.mark.parametrize("v,p,t", [(30, 28, 14), (24, 20, 10)])
