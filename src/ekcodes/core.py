@@ -348,7 +348,7 @@ def _sorted_rows(rows: np.ndarray, n: int, k: int, s: int, q: int) -> np.ndarray
     rows = np.asarray(rows, dtype=np.int32)
     keys = _row_symbols(rows, n, k, s, q).reshape(len(rows), s * n) if q else rows
     packed = keys @ _pack_weights(keys.shape[1], max(1, ((q or n) - 1).bit_length()))
-    order = packed[:, 0].argsort() if packed.shape[1] == 1 else np.lexsort(packed.T[::-1])
+    order = np.lexsort(packed.T[::-1])
     packed = packed[order]
     first = np.ones(len(rows), dtype=bool)  # the first row of each run of equal keys
     first[1:] = (packed[1:] != packed[:-1]).any(axis=1)
