@@ -9,11 +9,13 @@ their universe's incidence rows; those rows and the pairs' unrank tables
 come from core._universe_rows.  greedy_by_distance keeps the first
 live row of the stream and strikes, in one numpy pass (far_rows, which
 also builds search's key-heavy graphs), every later row closer than d to
-it, through metric._best_shares, the matching test of verify_code's
-incidence kernel (search._best_common); for pairs, greedy_pairs accepts
-the same words by claiming witnesses as integer keys in a dense array
-(claim_greedy, which greedy_packing shares).  Every word is examined, so
-the output is maximal.
+it.  From s = 2 to 4 that pass takes every live row's best part
+matching directly, the best of its s! matchings; above, it settles the
+rows that share enough ids through metric._best_shares, the matching
+test of verify_code's incidence kernel (search._best_common).  For
+pairs, greedy_pairs accepts the same words by claiming witnesses as
+integer keys in a dense array (claim_greedy, which greedy_packing
+shares).  Every word is examined, so the output is maximal.
 
 Universes up to SHUFFLE_CAP are shuffled in memory as one int32 array,
 4 bytes per index.  Larger ones are permuted by a Feistel network on the
@@ -35,8 +37,9 @@ from itertools import combinations
 
 import numpy as np
 
+from . import metric
 from .core import ParameterError, _universe_rows, word_count
-from .metric import _best_shares, witness_splits
+from .metric import witness_splits
 
 SHUFFLE_CAP = 1 << 22
 SPACE_CAP = 1 << 26
@@ -279,25 +282,38 @@ def far_rows(s: int, width: int, ids: int, limit: int):
 
     A row is s parts of width / s distinct ids below `ids`, as
     core._incidence_rows builds them; two rows are closer than d iff their
-    best part matching shares more than `limit` = width - d ids.  A column
-    is far when it holds at most `limit` of row's ids (a bound on the
-    matching, exact at s = 1) or its s x s common counts share at most
-    that under metric._best_shares.
+    best part matching shares more than `limit` = width - d ids.  At s = 1
+    a column is far when it holds at most `limit` of row's ids.  From s = 2
+    to metric._TUPLE_ENUMERATION_LIMIT every column's s x s common counts
+    are summed over all s! matchings (metric._matching_cells), in tiles of
+    at most metric._MATCHING_TILE_CELLS gathered cells, and the best is
+    compared with `limit`.  Above, a column is far when it holds at most
+    `limit` of row's ids (a bound on the matching) or its common counts
+    share at most that under metric._best_shares.
     """
     count = np.min_scalar_type(width)  # every count below is at most width
     parts = np.arange(1, s + 1, dtype=np.min_scalar_type(s))
     labels = np.repeat(parts, width // s)
     part_of = np.zeros(ids, dtype=parts.dtype)  # 1 + the row's part holding an id, or 0
+    cells = metric._matching_cells(s) if 2 <= s <= metric._TUPLE_ENUMERATION_LIMIT else None
 
     def test(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
         part_of[row] = labels
         held = part_of.take(columns)
         part_of[row] = 0
+        if cells is not None:
+            common = (held.reshape(s, width // s, 1, -1) == parts[:, None]).sum(axis=1, dtype=count)
+            common = common.reshape(s * s, -1)
+            best = np.empty(common.shape[1], dtype=count)
+            step = max(1, metric._MATCHING_TILE_CELLS // cells.size)
+            for lo in range(0, len(best), step):
+                common[:, lo : lo + step][cells].sum(axis=1, dtype=count).max(axis=0, out=best[lo : lo + step])
+            return best <= limit
         far = (held != 0).sum(axis=0, dtype=count) <= limit
         if s > 1:
             near = ~far
             common = np.compress(near, held, axis=1).reshape(s, width // s, 1, -1) == parts[:, None]
-            far[near] = _best_shares(common.sum(axis=1, dtype=count), limit) <= limit
+            far[near] = metric._best_shares(common.sum(axis=1, dtype=count), limit) <= limit
         return far
 
     return test

@@ -18,9 +18,10 @@ word.  A code built from words derives its rows at once.  Words come
 from rows in one place, `_row_words`, and only through the checked
 constructors, so every word the package hands out (`code.words`, the
 public enumerators) has passed their checks, and a bad trusted row
-raises there.  `_set_rows` is the one enumerator of k-subset rows:
-`_universe_rows` fills every engine's table from it in one pass, and the
-public enumerators build words from `_universe_blocks` one block at a time.
+raises there.  Universe rows come two ways, in the same lex order:
+`_universe_rows` builds an engine's whole table in numpy, and the public
+enumerators build words from `_universe_blocks` one block at a time, in
+O(_ROW_BLOCK) memory, which reads set-world rows lazily from `_set_rows`.
 """
 
 from __future__ import annotations
@@ -270,7 +271,12 @@ def _int_rows(tuples: list[tuple[int, ...]], width: int) -> np.ndarray:
 
 
 def _set_rows(k: int, parts: int, remaining: Sequence[int], prefix: tuple = ()) -> Iterator[tuple[int, ...]]:
-    """Set-world rows over `remaining` in lex order; parts go by their minima, the last straight from combinations."""
+    """Set-world rows over `remaining` in lex order, lazily; parts go by their minima.
+
+    The last part comes straight from combinations.  `_universe_blocks`
+    reads the rows a block at a time; `_universe_rows` builds the same
+    rows as one table.
+    """
     if parts == 1:
         return map(prefix.__add__, combinations(remaining, k)) if prefix else combinations(remaining, k)
     if len(remaining) < parts * k:
@@ -301,11 +307,42 @@ def _universe_blocks(n: int, k: int, s: int, q: int) -> Iterator[np.ndarray]:
 
 
 def _universe_rows(n: int, k: int, s: int, q: int) -> np.ndarray:
-    """A universe's rows in lex order as one int32 table; set-world rows fill it in one pass."""
+    """A universe's rows in lex order as one int32 table.
+
+    Set-world rows are built in numpy, one part at a time, from the table
+    of k-subsets in lex order.  Subset c may follow a row when it shares
+    no element with any of the row's parts and its least element is above
+    that of the row's last part (`follows[p, c]` for each part p, as the
+    parts' least elements ascend).  np.nonzero over the row-major
+    candidate matrix of (row, c) keeps lex order.  The candidate matrix is
+    built in row blocks of at most one output table's bytes.
+    """
     if q:
         return np.concatenate([np.empty((0, 2 * k), dtype=np.int32), *_universe_blocks(n, k, s, q)])
-    count = word_count(n, k, s)
-    return np.fromiter(chain.from_iterable(_set_rows(k, s, range(n))), np.int32, count * s * k).reshape(count, s * k)
+    count = word_count(n, k, s)  # raises ParameterError unless n >= 0, k >= 1 and s >= 1
+    subsets = math.comb(n, k)
+    table = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int32, subsets * k).reshape(subsets, k)
+    if s == 1:
+        return table
+    if not count:
+        return np.empty((0, s * k), dtype=np.int32)
+    follows = table[:, 0, None] < table[:, 0]
+    for a in table.T:
+        for b in table.T:
+            follows &= a[:, None] != b
+    step = max(1, count * s * k * 4 // subsets)
+    parts = np.arange(subsets, dtype=np.int32)[:, None]  # each row's parts as subset indices
+    for _ in range(s - 1):
+        blocks = []
+        for lo in range(0, len(parts), step):
+            block = parts[lo : lo + step]
+            fits = follows[block[:, 0]]
+            for column in block.T[1:]:
+                fits &= follows[column]
+            at, last = np.nonzero(fits)
+            blocks.append(np.column_stack([block[at], last.astype(np.int32)]))
+        parts = np.concatenate(blocks)
+    return table[parts].reshape(count, s * k)
 
 
 def _row_symbols(rows: np.ndarray, n: int, k: int, s: int, q: int) -> np.ndarray:

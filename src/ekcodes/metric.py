@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import ParameterError, QaryPairWord, QaryWord, STuple
 
-_TUPLE_ENUMERATION_LIMIT = 4  # tuple_distance takes the best of all s! matchings up to this s
+_TUPLE_ENUMERATION_LIMIT = 4  # tuple_distance and _greedy_fast.far_rows take the best of all s! matchings up to this s
 _ENUMERATION_LIMIT = 6  # _best_matchings sums all s! matchings up to this s
 _MATCHING_TILE_CELLS = 1 << 20  # cells one enumeration tile may gather
 

@@ -14,13 +14,14 @@ min_distance_at_least is a thin threshold test over verify_code for
 2-part set-world codes.
 greedy_code builds a maximal code by reading a seeded permutation of the
 word universe, as incidence rows of the same kind, through one distance
-rule (`_greedy_fast`), in which each kept word strikes its conflicts
-through the incidence kernel's matching test.  exact_max_code is a
-branch-and-bound clique search over the compatibility graph, which it
+rule (`_greedy_fast.far_rows`), in which each kept word strikes its
+conflicts: up to s = 4 by the best of every row's s! part matchings,
+above through the incidence kernel's matching test.  exact_max_code is
+a branch-and-bound clique search over the compatibility graph, which it
 builds from the universe rows' witness keys or, with too many keys per
-word, by that same test; each node's greedy colouring strips, unrecorded,
-the classes its branch loop can never reach, one AND per coloured word,
-and the tree is that of the full colouring.  exhaustive_max_code, a
+word, by that same rule's pair test; each node's greedy colouring
+strips, unrecorded, the classes its branch loop can never reach, one AND
+per coloured word, and the tree is that of the full colouring.  exhaustive_max_code, a
 plain enumeration over the pair_distance graph of `enumerate_words`, is
 kept alongside as an independent oracle.  Every other function here
 reads and builds codes as rows (`Code.rows`, `Code._from_rows`); none
@@ -66,10 +67,9 @@ def _best_common(rows: np.ndarray, s: int) -> int:
     its cells' runs are its s x s matrix of common counts.  A pair can beat
     the best so far only if it shares more incidences than that.  Their
     largest cell raises the best (any one cell extends to a full matching),
-    and metric._best_shares, greedy_code's matching test too, finds any
-    pair that still beats it.  Rows are walked
-    in tiles of about _PAIR_TILE generated keys, which bounds the
-    temporaries at every s.
+    and metric._best_shares, greedy_code's matching test above s = 4,
+    finds any pair that still beats it.  Rows are walked in tiles of about
+    _PAIR_TILE generated keys, which bounds the temporaries at every s.
     """
     n_rows, width = rows.shape
     part_width = width // s
@@ -279,8 +279,9 @@ def _compatibility_masks(rows: np.ndarray, n: int, k: int, d: int) -> list[int]:
     ORed into its members' conflict masks; a word is adjacent to every word
     outside its own conflict mask.  With more keys per word than half the
     words, or keys that do not fit, each row is tested against every row
-    by the distance greedy's `_greedy_fast.far_rows`: (14,7,7) has 3003
-    keys per word and the keys peak near 400 MB, the row tests at 0.3 MB.
+    by the distance greedy's `_greedy_fast.far_rows`, which takes the
+    better of each pair's two part matchings: (14,7,7) has 3003 keys per
+    word and the keys peak near 400 MB, the row tests at 0.3 MB.
     """
     keys = None if 2 * math.comb(2 * k, 2 * k - d + 1) > len(rows) else _witness_keys(rows, n, k, d)
     if keys is None:

@@ -259,6 +259,31 @@ def test_two_part_closed_form_matches_best_matchings():
             np.testing.assert_array_equal(metric._best_shares(weights.transpose(1, 2, 0), floor), expected)
 
 
+@pytest.mark.parametrize("tile", [1, 97, metric._MATCHING_TILE_CELLS], ids=["tile1", "tile97", "default"])
+@pytest.mark.parametrize("s", range(1, 6))
+def test_far_rows_matches_tuple_distance(monkeypatch, s, tile):
+    """The distance rule's far test against tuple_distance, on both sides of the enumeration limit.
+
+    Random words, some far apart and some close, are tested as rows
+    against random live column sets, the empty set included, at every d;
+    one far test serves several rows in turn, as in greedy_by_distance.
+    """
+    monkeypatch.setattr(metric, "_MATCHING_TILE_CELLS", tile)
+    rng = random.Random(700 + s)
+    for k in (1, 2, 3):
+        n = s * k + 2
+        drawn = [rng.sample(range(n), s * k) for _ in range(40)]
+        words = [canonicalize([ids[i : i + k] for i in range(0, s * k, k)], n) for ids in drawn]
+        rows = core._incidence_rows(words, n, k, s, 0)
+        for d in range(1, s * k + 1):
+            far = _greedy_fast.far_rows(s, s * k, n, s * k - d)
+            for i in range(4):
+                live = sorted(rng.sample(range(len(words)), rng.randint(0, len(words)))) if i else []
+                got = far(rows[i], rows[live].T)
+                assert got.dtype == bool and got.shape == (len(live),)
+                assert got.tolist() == [metric.tuple_distance(words[i], words[j]) >= d for j in live]
+
+
 def _loop_keys(builder, a_cols, b_cols):
     """Oracle: the key columns encoded afresh for every plan, each from 0 * n + the first column."""
     n = np.int64(builder.n)
@@ -296,17 +321,23 @@ def test_key_builder_matches_per_plan_encoding(monkeypatch, k):
 
 
 def _universe_cases():
+    cases = []
     for s in range(1, 6):
         for k in (1, 2, 3):
             # wider n where the last part and the one-pass table carry many rows
             wider = (20, 70) if s == 1 else (12,) if (s, k) == (2, 2) else ()
             for n in (*range(max(0, s * k - 2), s * k + 3), *wider):
                 if word_count(n, k, s) <= 20_000:
-                    yield n, k, s, 0
+                    cases.append((n, k, s, 0))
+    # k = 1 pairs on both sides of 64 elements and up to 100, four parts at n = 8-10, and s*k > n
+    extra = [(n, 1, 2) for n in (63, 64, 65, 100)] + [(n, k, 4) for k in (1, 2) for n in (8, 9, 10)]
+    extra += [(0, 3, 5), (2, 1, 5), (5, 2, 4), (3, 3, 2)]
+    cases += [(n, k, s, 0) for n, k, s in extra if (n, k, s, 0) not in cases]
     for q in (2, 3, 4):
         for k in (0, 1, 2, 3):
             for n in range(max(0, k - 2), k + 4):
-                yield n, k, 1, q
+                cases.append((n, k, 1, q))
+    return cases
 
 
 def _disjoint_combinations(parts, s):

@@ -496,20 +496,31 @@ def test_greedy_tuples_and_qary_match_per_pair_oracle(n, k, d, s, q, seed):
 
 @pytest.mark.parametrize(
     "n,k,d,s,seed",
-    [(9, 3, 5, 3, 1), (10, 3, 5, 3, 2), (10, 3, 7, 3, 0), (12, 3, 7, 4, 1), (12, 3, 9, 4, 0), (10, 2, 4, 5, 0)],
+    [
+        (9, 3, 5, 3, 1), (10, 3, 5, 3, 2), (10, 3, 7, 3, 0), (12, 3, 7, 4, 1), (12, 3, 9, 4, 0), (10, 2, 4, 5, 0),
+        (12, 2, 6, 6, 0),
+    ],
 )
 def test_greedy_with_open_matching_bounds_matches_per_pair_oracle(monkeypatch, n, k, d, s, seed):
-    batches = []
+    batches, screened = [], []
 
     def counted(weights):
         batches.append(len(weights))
         return best_matchings(weights)
 
-    best_matchings = metric._best_matchings
+    def shares(common, floor):
+        screened.append(common.shape[2])
+        return best_shares(common, floor)
+
+    best_matchings, best_shares = metric._best_matchings, metric._best_shares
     monkeypatch.setattr(metric, "_best_matchings", counted)
+    monkeypatch.setattr(metric, "_best_shares", shares)
     expected = _stream_distance_greedy(_permuted(list(enumerate_words(n, k, s)), seed), tuple_distance, d)
     assert greedy_code(n, k, d, seed, s=s).words == expected
-    assert batches  # some pairs fell between the largest cell and the row/column-maxima bound
+    if s <= metric._TUPLE_ENUMERATION_LIMIT:
+        assert not screened  # every live column's matchings are summed directly
+    else:
+        assert batches  # some pairs fell between the largest cell and the row/column-maxima bound
 
 
 def _verified(code):
@@ -563,6 +574,22 @@ def _sqs64_composition():
         pytest.param(  # 293 words
             lambda: greedy_code(11, 3, 3, 1, s=3),
             7930, "e2a07032e803ba0bc09d50b05da377af0f0da78b9f1295fc961363c5c23ec16a", id="greedy-s3-11-3-3",
+        ),
+        pytest.param(
+            lambda: greedy_code(9, 2, 3, 1, s=4),
+            1214, "5e98e70c8f9e7fc6c81eac07d146ec45661d43b9765faf4b57407268f0c64ee1", id="greedy-s4-9-2-3",
+        ),
+        pytest.param(
+            lambda: greedy_code(10, 2, 3, 1, s=3),
+            911, "b9234631303a7a43b22c7d05b127f3e0d00626563b714222411f8f537b1b1916", id="greedy-s3-10-2-3",
+        ),
+        pytest.param(
+            lambda: greedy_code(17, 2, 3, 1, mode="distance"),
+            509, "f0e1b3c8809e53c597a3b69c197cff06a7b7794ae12506690d3bab207ecc5200", id="greedy-17-2-3-distance",
+        ),
+        pytest.param(  # k = 1 pairs on 66 elements, whose universe table is built past 64 elements
+            lambda: exact_max_code(66, 1, 2, node_budget=2000).best_code,
+            457, "ac1573fe2b2e2360eb7d31e6331dc7e36363c532b6a0faf3418cbb5b6aeb0867", id="exact-66-1-2",
         ),
     ],
 )
