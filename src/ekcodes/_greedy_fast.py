@@ -10,9 +10,10 @@ come from core._universe_rows.  greedy_by_distance keeps the first
 live row of the stream and strikes, in one numpy pass (far_rows, which
 also builds search's key-heavy graphs), every later row closer than d to
 it.  From s = 2 to 4 that pass takes every live row's best part
-matching directly, the best of its s! matchings; above, it settles the
-rows that share enough ids through metric._best_shares, the matching
-test of verify_code's incidence kernel (search._best_common).  For
+matching directly, the best of its s! matchings from
+metric._best_matchings; above, it settles the rows that share enough
+ids through metric._best_shares, the matching test of verify_code's
+incidence kernel (search._best_common).  For
 pairs, greedy_pairs accepts the same words by claiming witnesses as
 integer keys in a dense array (claim_greedy, which greedy_packing
 shares).  Every word is examined, so the output is maximal.
@@ -285,8 +286,7 @@ def far_rows(s: int, width: int, ids: int, limit: int):
     best part matching shares more than `limit` = width - d ids.  At s = 1
     a column is far when it holds at most `limit` of row's ids.  From s = 2
     to metric._TUPLE_ENUMERATION_LIMIT every column's s x s common counts
-    are summed over all s! matchings (metric._matching_cells), in tiles of
-    at most metric._MATCHING_TILE_CELLS gathered cells, and the best is
+    go to metric._best_matchings, the best of all s! matchings, which is
     compared with `limit`.  Above, a column is far when it holds at most
     `limit` of row's ids (a bound on the matching) or its common counts
     share at most that under metric._best_shares.
@@ -295,20 +295,15 @@ def far_rows(s: int, width: int, ids: int, limit: int):
     parts = np.arange(1, s + 1, dtype=np.min_scalar_type(s))
     labels = np.repeat(parts, width // s)
     part_of = np.zeros(ids, dtype=parts.dtype)  # 1 + the row's part holding an id, or 0
-    cells = metric._matching_cells(s) if 2 <= s <= metric._TUPLE_ENUMERATION_LIMIT else None
+    direct = 2 <= s <= metric._TUPLE_ENUMERATION_LIMIT
 
     def test(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
         part_of[row] = labels
         held = part_of.take(columns)
         part_of[row] = 0
-        if cells is not None:
+        if direct:
             common = (held.reshape(s, width // s, 1, -1) == parts[:, None]).sum(axis=1, dtype=count)
-            common = common.reshape(s * s, -1)
-            best = np.empty(common.shape[1], dtype=count)
-            step = max(1, metric._MATCHING_TILE_CELLS // cells.size)
-            for lo in range(0, len(best), step):
-                common[:, lo : lo + step][cells].sum(axis=1, dtype=count).max(axis=0, out=best[lo : lo + step])
-            return best <= limit
+            return metric._best_matchings(common.transpose(2, 0, 1)) <= limit
         far = (held != 0).sum(axis=0, dtype=count) <= limit
         if s > 1:
             near = ~far

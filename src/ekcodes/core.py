@@ -310,12 +310,15 @@ def _universe_rows(n: int, k: int, s: int, q: int) -> np.ndarray:
     """A universe's rows in lex order as one int32 table.
 
     Set-world rows are built in numpy, one part at a time, from the table
-    of k-subsets in lex order.  Subset c may follow a row when it shares
-    no element with any of the row's parts and its least element is above
-    that of the row's last part (`follows[p, c]` for each part p, as the
-    parts' least elements ascend).  np.nonzero over the row-major
-    candidate matrix of (row, c) keeps lex order.  The candidate matrix is
-    built in row blocks of at most one output table's bytes.
+    of k-subsets in lex order.  A row's next part is a k-subset of its free
+    elements (those above its last part's least element and in no part),
+    taken as a row of `shapes`: k positions among them, ascending.  A shape
+    fits a row when it lies within the row's `room` free elements and
+    leaves, at or above its least one, the elements the later parts need,
+    so every row built completes and no stage holds more rows than the
+    output.  Selecting the fitting (row, shape) cells row-major keeps lex
+    order.  Rows go in blocks of at most count * s (row, shape) and (row,
+    element) cells, so no block's temporaries outgrow the output table.
     """
     if q:
         return np.concatenate([np.empty((0, 2 * k), dtype=np.int32), *_universe_blocks(n, k, s, q)])
@@ -326,23 +329,25 @@ def _universe_rows(n: int, k: int, s: int, q: int) -> np.ndarray:
         return table
     if not count:
         return np.empty((0, s * k), dtype=np.int32)
-    follows = table[:, 0, None] < table[:, 0]
-    for a in table.T:
-        for b in table.T:
-            follows &= a[:, None] != b
-    step = max(1, count * s * k * 4 // subsets)
-    parts = np.arange(subsets, dtype=np.int32)[:, None]  # each row's parts as subset indices
-    for _ in range(s - 1):
+    rows = table[n - table[:, 0] >= s * k]  # first parts that leave room for the rest
+    elements = np.arange(n, dtype=np.int32)
+    for need in range((s - 1) * k, 0, -k):  # free elements the next part and those after it take
+        floor = rows[:, -k, None]  # the last part's least element
+        room = n - 1 - floor - (rows > floor).sum(axis=1, keepdims=True)  # free elements: above floor, in no part
+        step = max(1, count * s // (math.comb(int(room.max()), k) + n))
         blocks = []
-        for lo in range(0, len(parts), step):
-            block = parts[lo : lo + step]
-            fits = follows[block[:, 0]]
-            for column in block.T[1:]:
-                fits &= follows[column]
-            at, last = np.nonzero(fits)
-            blocks.append(np.column_stack([block[at], last.astype(np.int32)]))
-        parts = np.concatenate(blocks)
-    return table[parts].reshape(count, s * k)
+        for lo in range(0, len(rows), step):
+            block, space = rows[lo : lo + step], room[lo : lo + step]
+            most = int(space.max())
+            shapes = table[(table[:, -1] < most) & (table[:, 0] <= most - need)]
+            free = elements > block[:, -k, None]
+            np.put_along_axis(free, block, False, axis=1)
+            ascending = np.sort(np.where(free, elements, n), axis=1)  # each row's free elements first
+            fits = (shapes[:, -1] < space) & (shapes[:, 0] <= space - need)
+            parts = ascending.take(shapes, axis=1)[fits]
+            blocks.append(np.concatenate([block.repeat(fits.sum(axis=1), axis=0), parts], axis=1))
+        rows = np.concatenate(blocks)
+    return rows
 
 
 def _row_symbols(rows: np.ndarray, n: int, k: int, s: int, q: int) -> np.ndarray:

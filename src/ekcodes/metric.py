@@ -142,19 +142,23 @@ def _best_matchings(weights: np.ndarray) -> np.ndarray:
     """Maximum-weight perfect matching of each s x s matrix in a batch.
 
     Up to s = 6, the best of the s! matchings, summed over their cells in
-    tiles that gather at most `_MATCHING_TILE_CELLS` cells each.  Above,
-    the Hungarian method (`_min_cost_matching`) on each negated matrix.
+    tiles that gather at most `_MATCHING_TILE_CELLS` cells each.  The cells
+    are read as s*s rows of the batch, which a (batch, s, s) view of an
+    (s, s, batch) array, as the kernels pass it, gives without a copy.  The
+    sums stay in weights' dtype, which must hold any matching's total (the
+    kernels' counts of shared ids do).  Above, the Hungarian method
+    (`_min_cost_matching`) on each negated matrix.
     """
     batch, s, _ = weights.shape
     if s > _ENUMERATION_LIMIT:
         negated = np.negative(weights, dtype=np.int64).tolist()
         return np.array([-_min_cost_matching(cost) for cost in negated], dtype=np.int64)
     cells = _matching_cells(s)
-    flat = weights.reshape(batch, s * s)
+    flat = weights.transpose(1, 2, 0).reshape(s * s, batch)
     step = max(1, _MATCHING_TILE_CELLS // cells.size)
-    best = np.empty(batch, dtype=np.int64)
+    best = np.empty(batch, dtype=weights.dtype)
     for lo in range(0, batch, step):
-        best[lo : lo + step] = flat[lo : lo + step, cells].sum(axis=2, dtype=np.int64).max(axis=1)
+        flat[:, lo : lo + step][cells].sum(axis=1, dtype=best.dtype).max(axis=0, out=best[lo : lo + step])
     return best
 
 

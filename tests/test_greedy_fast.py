@@ -332,6 +332,8 @@ def _universe_cases():
     # k = 1 pairs on both sides of 64 elements and up to 100, four parts at n = 8-10, and s*k > n
     extra = [(n, 1, 2) for n in (63, 64, 65, 100)] + [(n, k, 4) for k in (1, 2) for n in (8, 9, 10)]
     extra += [(0, 3, 5), (2, 1, 5), (5, 2, 4), (3, 3, 2)]
+    # wide parts at n = s*k, where few of the C(n, k) subsets complete a row
+    extra += [(14, 7, 2), (12, 4, 3)]
     cases += [(n, k, s, 0) for n, k, s in extra if (n, k, s, 0) not in cases]
     for q in (2, 3, 4):
         for k in (0, 1, 2, 3):
