@@ -2,9 +2,12 @@
 
 Every greedy reads its universe once, in the seeded order of
 _permuted_chunks.  Pairs stream all ordered (A, B) index pairs and drop
-the copy with min(A) > min(B), which leaves each unordered word once;
-the drop is decided from the two rank indices alone, so only the kept
-half is gathered and lifted.  s-tuples (s != 2) and q-ary words permute
+the copy with min(A) > min(B), which leaves each unordered word once.
+One start table over A's ranks decides which indices survive before any
+unrank, gather or lift; where some witness keys read A alone
+(d >= k + 1), greedy_pairs' A-side screen folds into it every A with a
+claimed key, so the stream also drops the words that A would block.
+s-tuples (s != 2) and q-ary words permute
 their universe's incidence rows; those rows and the pairs' unrank tables
 come from core._universe_rows.  greedy_by_distance keeps the first
 live row of the stream and strikes, in one numpy pass (far_rows, which
@@ -16,13 +19,16 @@ ids through metric._best_shares, the matching test of verify_code's
 incidence kernel (search._best_common).  For
 pairs, greedy_pairs accepts the same words by claiming witnesses as
 integer keys in a dense array (claim_greedy, which greedy_packing
-shares).  Every word is examined, so the output is maximal.
+shares).  Every word is examined, or dropped where a claim already
+blocks it, so the output is maximal.
 
 Universes up to SHUFFLE_CAP are shuffled in memory as one int32 array,
 4 bytes per index.  Larger ones are permuted by a Feistel network on the
 index space (images >= M are skipped, which still visits each index
-exactly once; lanes whose image cannot fall below M are dropped before
-the last round).  One helper thread computes the next Feistel chunk of
+exactly once).  Its first round is read from a table over the right
+halves, since the left half is constant along each row of positions;
+the other three run on every lane, and one compress keeps the images
+below M.  One helper thread computes the next Feistel chunk of
 _CHUNK domain positions while the caller screens the current one.  The
 pair stream unranks, lifts and keys each chunk in slices of _SLICE
 indices, so besides the permutation only one slice's temporaries are
@@ -70,42 +76,62 @@ def _feistel_round(left: np.ndarray, right: np.ndarray, key, hmask, mix: np.ndar
     left ^= mix
 
 
+def _first_round(start: int, cols: np.ndarray, first: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Positions start, start + 1, ... after round 1, written into left and right (one per lane).
+
+    Position row * width + col (width = first.size) leaves round 1 as
+    left = col and right = row ^ first[col], with first[col] = F(col, key):
+    the left half is constant along a row.  Whole rows are broadcast; a
+    partial row at either end takes a slice of `first`.
+    """
+    width = first.size
+    row, col = divmod(start, width)
+    head = min(left.size, width - col)  # the lanes left in start's row
+    left[:head] = cols[col : col + head]
+    np.bitwise_xor(first[col : col + head], np.uint32(row), out=right[:head])
+    rows, tail = divmod(left.size - head, width)
+    end = head + rows * width
+    if rows:
+        left[head:end].reshape(rows, width)[:] = cols
+        row_ids = np.arange(row + 1, row + 1 + rows, dtype=np.uint32)[:, None]
+        np.bitwise_xor(first, row_ids, out=right[head:end].reshape(rows, width))
+    if tail:
+        left[end:] = cols[:tail]
+        np.bitwise_xor(first[:tail], np.uint32(row + rows + 1), out=right[end:])
+
+
 def _feistel_images(lo: int, hi: int, nbits: int, keys: np.ndarray, m: int) -> np.ndarray:
     """Images below m of the domain positions [lo, hi), in position order, as int64.
 
-    Four balanced rounds on nbits-bit values, run in place on blocks of
-    _FEISTEL_BLOCK lanes: small enough that the round buffers stay in
-    cache, and large enough that the helper thread makes few numpy calls,
-    each of which must win the interpreter lock back from the caller
-    screening the previous chunk in slices.  The right
-    half entering the last round becomes the image's high half, so a lane
-    whose right half is above (m - 1) >> half can never map below m: it is
-    dropped before the last round, and only the survivors run it and the
-    exact test.
+    Four balanced rounds on nbits-bit values.  Round 1 comes from a table:
+    first = F(col, keys[0]) over the 2^half right halves, computed once per
+    call and laid along each row of 2^half positions (_first_round), so
+    no lane outside [lo, hi) is computed.  Rounds 2-4 run in place on
+    blocks of _FEISTEL_BLOCK lanes: small enough that the round buffers
+    stay in cache, and large enough that the helper thread makes few numpy
+    calls, each of which must win the interpreter lock back from the caller
+    screening the previous chunk in slices.  The image right << half | left
+    is formed in uint32 (nbits <= 32), one compress keeps the images below
+    m, and only those are cast to int64.
     """
     half = nbits // 2
     hmask = np.uint32((1 << half) - 1)
-    top = np.uint32((m - 1) >> half)
+    cols = np.arange(1 << half, dtype=np.uint32)
+    first = np.zeros(cols.size, dtype=np.uint32)
+    _feistel_round(first, cols, keys[0], hmask, np.empty_like(first), np.empty_like(first))
     size = min(_FEISTEL_BLOCK, hi - lo)
-    offsets = np.arange(size, dtype=np.uint32)
     buffers = [np.empty(size, dtype=np.uint32) for _ in range(4)]
     images = []
     for start in range(lo, hi, size):
         left, right, mix, spare = (buf[: min(size, hi - start)] for buf in buffers)
-        np.add(offsets[: left.size], np.uint32(start), out=left)
-        np.bitwise_and(left, hmask, out=right)
-        left >>= np.uint32(half)
-        for key in keys[:-1]:
+        _first_round(start, cols, first, left, right)
+        for key in keys[1:-1]:
             _feistel_round(left, right, key, hmask, mix, spare)
             left, right = right, left
-        live = right <= top
-        if not live.all():
-            left, right = np.compress(live, left), np.compress(live, right)
-            mix, spare = mix[: left.size], spare[: left.size]
         _feistel_round(left, right, keys[-1], hmask, mix, spare)
-        vals = right.astype(np.int64) << half
-        vals |= left
-        images.append(np.compress(vals < m, vals))
+        np.left_shift(right, np.uint32(half), out=mix)
+        mix |= left
+        images.append(np.compress(mix < m, mix).astype(np.int64))
     return np.concatenate(images)
 
 
@@ -164,9 +190,18 @@ class _KeyBuilder:
                 for uidx in combinations(range(self.k), u):
                     for vidx in combinations(range(self.k), v):
                         self.plans.append((offset, u == v, small_side, uidx, vidx))
+        # the plans that read side 0 alone: one key per t-subset of A, which exist iff d >= k + 1
+        self.first_part = [(offset, vidx) for offset, _, side, uidx, vidx in self.plans if side == 1 and not uidx]
+
+    def encode(self, cols: list[np.ndarray], idx: tuple[int, ...]):
+        """The elements cols[idx] as one base-n number (0 for no index): a key's share from one side."""
+        n = np.int64(self.n)
+        enc = cols[idx[0]] if idx else np.int64(0)
+        for pos in idx[1:]:
+            enc = enc * n + cols[pos]
+        return enc
 
     def build(self, a_cols: list[np.ndarray], b_cols: list[np.ndarray]) -> list[np.ndarray]:
-        n = np.int64(self.n)
         sides = (a_cols, b_cols)
         encoded: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         uses = Counter(key for _, _, side, uidx, vidx in self.plans for key in ((side, uidx), (1 - side, vidx)))
@@ -175,10 +210,7 @@ class _KeyBuilder:
             # encode each (side, index tuple) once, and hold it only until its last plan
             key = side, idx
             if key not in encoded:
-                enc = sides[side][idx[0]] if idx else np.int64(0)
-                for pos in idx[1:]:
-                    enc = enc * n + sides[side][pos]
-                encoded[key] = enc
+                encoded[key] = self.encode(sides[side], idx)
             uses[key] -= 1
             return encoded[key] if uses[key] else encoded.pop(key)
 
@@ -192,15 +224,24 @@ class _KeyBuilder:
         return keys
 
 
-def _stream_words(n: int, k: int, seed: int):
+def _stream_words(n: int, k: int, seed: int, dead: np.ndarray | None = None):
     """Yield the seeded word stream as (a_cols, b_cols) element columns.
 
     Index i of the stream is the ordered pair (A, B) with A of lex rank
-    i // C(n-k, k) among the k-subsets of [0, n) and B the k-subset of
+    a = i // C(n-k, k) among the k-subsets of [0, n) and B the k-subset of
     lex rank i % C(n-k, k) of [0, n-k), lifted into the complement of A.
-    The mirrored copy, min(A) > min(B), is dropped before any gather:
-    the complement of A has exactly min(A) elements below min(A), so the
+    The mirrored copy, min(A) > min(B), is dropped before any unrank: the
+    complement of A has exactly min(A) elements below min(A), so the
     lifted B starts above min(A) iff B's own first element is >= min(A).
+    Since B's first elements are sorted by rank, index i survives iff
+    i >= start[a], where start[a] = a * C(n-k, k) + the first B rank whose
+    first element is >= min(A): one int32 table, built once.
+
+    `dead`, a bool per A rank that the caller may set between slices, drops
+    every later word with a dead A: after each yielded slice it is folded
+    into the table as start[a] = (a + 1) * C(n-k, k).  Only the surviving
+    ids are unranked, gathered and lifted.
+
     Each permutation chunk of _CHUNK indices is walked in slices of _SLICE
     indices (both read at call time), and each slice with a kept word is
     yielded on its own, so the unrank, gather and lift temporaries and the
@@ -215,16 +256,17 @@ def _stream_words(n: int, k: int, seed: int):
         raise ParameterError(f"stream of {m} ordered words exceeds the cap {STREAM_CAP}")
     lex_a = [col.astype(np.int64) for col in _universe_rows(n, k, 1, 0).T]
     lex_b = [col.astype(np.int64) for col in _universe_rows(n - k, k, 1, 0).T]
+    ends = np.arange(1, len(lex_a[0]) + 1, dtype=np.int32) * np.int32(n_second)  # m <= STREAM_CAP = 2^30
+    start = ends - np.int32(n_second) + np.searchsorted(lex_b[0], lex_a[0]).astype(np.int32)
     for ids in _permuted_chunks(m, seed, _CHUNK):
         for lo in range(0, ids.size, _SLICE):
             part = ids[lo : lo + _SLICE]
             # a Python-int divisor keeps int32 ids in int32, where floor division is cheapest
+            part = np.compress(part >= start[part // n_second], part)
+            if not part.size:
+                continue
             idx_a = part // n_second
             idx_b = part - idx_a * n_second
-            keep = lex_b[0][idx_b] >= lex_a[0][idx_a]
-            if not keep.any():
-                continue
-            idx_a, idx_b = np.compress(keep, idx_a), np.compress(keep, idx_b)
             a_cols = [col[idx_a] for col in lex_a]
             b_cols = [col[idx_b] for col in lex_b]
             # lift B out of the complement of A (shifts applied in ascending-A order)
@@ -232,6 +274,8 @@ def _stream_words(n: int, k: int, seed: int):
                 for b in b_cols:
                     b += b >= aj
             yield a_cols, b_cols
+            if dead is not None:
+                np.putmask(start, dead, ends)
 
 
 def _rows(cols: list[np.ndarray], picks) -> list[tuple[int, ...]]:
@@ -267,13 +311,28 @@ def claim_greedy(keys: list[np.ndarray], claimed: np.ndarray) -> list[int]:
 
 
 def greedy_pairs(n: int, k: int, d: int, seed: int):
-    """Witness-claim greedy over the stream; returns accepted (a_tuple, b_tuple) rows."""
+    """Witness-claim greedy over the stream; returns accepted (a_tuple, b_tuple) rows.
+
+    Where some key plans read A alone (d >= k + 1), `dead` marks each A
+    rank one of whose first_part keys is claimed, and the stream drops
+    every later word with that A before unranking it.  Claims only grow,
+    so each such word would have been blocked anyway.  Claims change only
+    when a slice accepts a word, so only then is `dead` refreshed, one
+    plan's C(n, k) keys at a time.
+    """
     builder = _KeyBuilder(n, k, d)
     claimed = np.zeros(builder.total_space, dtype=bool)
     accepted: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for a_cols, b_cols in _stream_words(n, k, seed):
+    dead = first_cols = None
+    if builder.first_part and 2 * k <= n:
+        first_cols = list(_universe_rows(n, k, 1, 0).T)
+        dead = np.zeros(len(first_cols[0]), dtype=bool)
+    for a_cols, b_cols in _stream_words(n, k, seed, dead):
         hits = claim_greedy(builder.build(a_cols, b_cols), claimed)
         accepted.extend(zip(_rows(a_cols, hits), _rows(b_cols, hits)))
+        if hits and dead is not None:
+            for offset, vidx in builder.first_part:
+                dead |= claimed[builder.encode(first_cols, vidx) + np.int64(offset)]
     return accepted
 
 

@@ -187,6 +187,29 @@ def test_feistel_chunks_match_full_domain_oracle(monkeypatch, m):
         np.testing.assert_array_equal(np.sort(flat), np.arange(m))
 
 
+def _feistel_windows():
+    """(nbits, lo, hi) windows that start and end mid-row, one row being 2^(nbits // 2) positions."""
+    for nbits in (4, 10, 24, 30):
+        width = 1 << nbits // 2
+        yield nbits, 3, 5  # inside one row
+        yield nbits, width - 1, width + 1  # across one row boundary
+        yield nbits, width // 2 + 1, 3 * width + 3  # a partial row, whole rows, a partial row
+    yield 24, 4096 * 7 + 100, 4096 * 8 + 100  # 4,096 lanes, the smallest greedy_packing Feistel chunk
+    yield 30, (1 << 15) * 9 + 77, (1 << 15) * 9 + 77 + 4096
+    yield 24, 5, 5 + _greedy_fast._FEISTEL_BLOCK + 4099  # a ragged window over two blocks
+    yield 30, 0, (1 << 15) * 3  # whole rows only
+
+
+@pytest.mark.parametrize("nbits,lo,hi", list(_feistel_windows()))
+def test_feistel_windows_match_oracle(nbits, lo, hi):
+    keys = np.random.default_rng(nbits + lo).integers(0, 2**31, size=4, dtype=np.uint32)
+    ref = _feistel32(np.arange(lo, hi, dtype=np.uint32), nbits, keys)
+    for m in (1 << nbits - 1, (1 << nbits) - 3, 1 << nbits):
+        got = _greedy_fast._feistel_images(lo, hi, nbits, keys, m)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ref[ref < m])
+
+
 def test_feistel_helper_thread_keeps_streams_apart(monkeypatch):
     monkeypatch.setattr(_greedy_fast, "SHUFFLE_CAP", 1)
     alone = [np.concatenate(list(_greedy_fast._permuted_chunks(4099, seed, 97))) for seed in (1, 2)]

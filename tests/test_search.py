@@ -419,6 +419,34 @@ def _stream_witness_greedy(n, k, d, seed):
     return frozenset(accepted)
 
 
+@pytest.mark.parametrize("n,k,d,first_part", [(12, 2, 3, True), (9, 3, 4, True), (9, 1, 2, True), (10, 3, 5, True), (12, 2, 2, False), (9, 3, 3, False)])
+@pytest.mark.parametrize("cap", [_greedy_fast.SHUFFLE_CAP, 8], ids=["shuffle", "feistel"])
+@pytest.mark.parametrize("size", [1, 7, 300])
+def test_greedy_pairs_with_first_part_screen_match_stream_oracle(monkeypatch, n, k, d, first_part, cap, size):
+    """Where keys read A alone, the stream drops words whose A is dead; the greedy must not change.
+
+    A slice's accepted words may drop A's only from the next slice on, so
+    one-index slices check that the dead table is refreshed after every
+    accepting slice, and longer ones that it is not refreshed mid-slice.
+    """
+    monkeypatch.setattr(_greedy_fast, "SHUFFLE_CAP", cap)  # cap 8 forces the Feistel branch
+    monkeypatch.setattr(_greedy_fast, "_SLICE", size)
+    seed = 10 * n + d
+    expected = _stream_witness_greedy(n, k, d, seed)
+    streamed = []
+    real = _greedy_fast._stream_words
+    monkeypatch.setattr(
+        _greedy_fast, "_stream_words", lambda *args: (streamed.append(len(a[0])) or (a, b) for a, b in real(*args))
+    )
+    rows = _greedy_fast.greedy_pairs(n, k, d, seed)
+    assert frozenset(STuple((KSubset(n, a), KSubset(n, b))) for a, b in rows) == expected
+    assert len(rows) == len(expected)
+    assert bool(_greedy_fast._KeyBuilder(n, k, d).first_part) == first_part
+    # the screen drops words only where keys read A alone, and only from a stream's second slice on
+    several = math.comb(n, k) * math.comb(n - k, k) > size
+    assert (sum(streamed) < word_count(n, k, 2)) == (first_part and several)
+
+
 def _small_draws(count, seed):
     draws = [(7, 1, 1, 3), (9, 1, 2, 8), (8, 2, 1, 5), (11, 2, 4, 6), (12, 3, 6, 2)]
     rng = random.Random(seed)
@@ -590,6 +618,22 @@ def _sqs64_composition():
         pytest.param(  # k = 1 pairs on 66 elements, whose universe table is built past 64 elements
             lambda: exact_max_code(66, 1, 2, node_budget=2000).best_code,
             457, "ac1573fe2b2e2360eb7d31e6331dc7e36363c532b6a0faf3418cbb5b6aeb0867", id="exact-66-1-2",
+        ),
+        pytest.param(  # the pair stream's in-memory shuffle, with the A-side screen (d >= k + 1)
+            lambda: greedy_code(61, 2, 3, 1),
+            7430, "450b4393171c7ff807bddcf3786b354270aef64066c84eea0e883bd5f6af1d51", id="greedy-61-2-3",
+        ),
+        pytest.param(  # the pair stream's Feistel branch: 4.3M ordered words, above SHUFFLE_CAP
+            lambda: greedy_code(66, 2, 3, 1),
+            8661, "29deb5ba31dc3407c626239b36ef226d758a011ac99009cc30c43ef5e5a036e0", id="greedy-66-2-3",
+        ),
+        pytest.param(  # A-side keys at k = 3: one per 2-subset of the first part
+            lambda: greedy_code(30, 3, 4, 2),
+            7043, "7a879b4292a546457812c2732f43ec54824613736f49ad7436e5102cfcb9c592", id="greedy-30-3-4",
+        ),
+        pytest.param(  # d <= k: no key reads the first part alone, so no A-side screen
+            lambda: greedy_code(20, 3, 3, 4),
+            17359, "4c38920b9b766b4268bcaa1556d7bbf9178e13067116758b226ee3f8d3af26f1", id="greedy-20-3-3",
         ),
     ],
 )
